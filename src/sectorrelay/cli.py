@@ -111,7 +111,8 @@ def _grid_spec(text: str) -> list[float]:
 
 def _map_ordered(fn, jobs, workers: int) -> list:
     """Apply fn to jobs, preserving job order, optionally across processes."""
-    if workers <= 1 or len(jobs) <= 1:
+    workers = simulate.worker_count(workers, len(jobs))
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
@@ -687,8 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     simcmd.add_argument("--window-radius", type=float, default=None,
                         help="relay-search radius (default 15/sqrt(lambda))")
     simcmd.add_argument("--guard-radius", type=float, default=None,
-                        help="extra interference-only margin "
-                        "(default 150/sqrt(lambda))")
+                        help="explicit near-field radius around the relay "
+                        "(default 40/sqrt(lambda))")
     simcmd.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
                         default=ProtocolVariant.DIRECTIONAL.value)
     simcmd.add_argument("--emit-trials", action="store_true",

@@ -3,20 +3,33 @@
 Each trial adopts the viewpoint of a typical transmitter: by Slivnyak's
 theorem the rest of the network seen from one of its points is again the
 unconditioned process, so the trial places the tagged transmitter at the
-origin with heading 0 and overlays two independent Poisson processes -
-receivers at density (1-p)*lambda inside the measurement window, and the
-other transmitters at density p*lambda out to the guard-extended radius.
-The tagged transmitter itself is never counted as an interferer.
+origin with heading 0, draws receivers at density (1-p)*lambda inside the
+measurement window (15/sqrt(lambda) is far more than enough to contain
+the relay) and selects the relay. The tagged transmitter itself is never
+counted as an interferer.
 
-Window sizing note: the measurement window only has to contain the relay
-(15/sqrt(lambda) is far more than enough), but the interference guard has
-to be large. Truncating interferers at radius L biases the success
-probability of a link of length d upward by roughly
-exp(p*lambda*phi*beta*d^3 / L) for alpha = 3, and the progress estimator
-weights relay distances near 1/sqrt(k) where that bias is percents for
-small L. The default guard of 150/sqrt(lambda) keeps the residual bias
-near one standard error of a 2e4-trial run; doubling it changes estimates
-by well under one standard error.
+Conditional estimator: a trial records the expected progress given its
+draws, d*cos*P_s, instead of a sampled success indicator. The other
+transmitters (density p*lambda) are drawn in the near field, a disk of
+radius L centred on the relay; they are independent of the receivers, so
+centring the disk there loses nothing. With x_i = beta*(d/r_i)^alpha and q
+the probability that a transmitter's sector covers the relay (phi/(2*pi)
+directional, 1 omnidirectional), Rayleigh fading and the uniform headings
+integrate out given the positions: interferer i lets the link through with
+probability (1 + (1-q)*x_i)/(1 + x_i). Transmitters beyond L integrate out
+exactly through the Poisson Laplace functional, exp(-p*lambda*q*F(L)) with
+F in closed form (far_field_integral). P_s is therefore the exact success
+probability given the near-field positions, and the estimator is unbiased
+for any L; the radius only decides how much of the interference is sampled
+rather than integrated. The default L = 40/sqrt(lambda) leaves the far
+field under a tenth of -log P_s at the paper's default optimum (about a
+quarter at 10/sqrt(lambda), since relays sit near d = 1/sqrt(lambda)), so
+the simulator still samples the interference it is checking.
+
+The per-trial sir and success columns come from the same draws (headings
+and fading sampled over the near field) and are diagnostics only.
+simulate_link_success keeps the raw SIR indicator as the independent check
+of the fading law.
 
 Randomness: one counter-based Philox substream per trial, keyed by
 (seed, stream tag, trial index), so trials are independent, reproducible,
@@ -29,10 +42,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _special
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
 from .model import NetworkParams, ProtocolVariant
@@ -43,7 +58,6 @@ TWO_PI = 2.0 * math.pi
 _TAG_TRIAL = 0
 _TAG_LINK = 1
 _TAG_SAMPLE = 2
-_TAG_GUARD = 3
 
 #: CSV column order for per-trial streams.
 TRIAL_COLUMNS = ("trial", "relay_found", "d", "cos_offset", "sir", "success", "progress")
@@ -53,9 +67,10 @@ TRIAL_COLUMNS = ("trial", "relay_found", "d", "cos_offset", "sir", "success", "p
 class SimConfig:
     """Simulation run geometry and bookkeeping.
 
-    window_radius bounds the relay search; guard_radius extends the
-    interferer disk beyond it (interference only). seed is a 64-bit
-    integer; trials the number of independent network draws.
+    window_radius bounds the relay search; guard_radius is the near-field
+    radius L around the relay inside which interferers are drawn (beyond it
+    they are integrated out). seed is a 64-bit integer; trials the number
+    of independent network draws.
     """
 
     window_radius: float
@@ -71,8 +86,8 @@ class SimConfig:
             violations.append(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             violations.append(f"seed must be a 64-bit integer, got {self.seed}")
-        if not (self.guard_radius >= 0):
-            violations.append(f"guard_radius must be >= 0, got {self.guard_radius}")
+        if not (self.guard_radius > 0):
+            violations.append(f"guard_radius must be > 0, got {self.guard_radius}")
         if violations:
             raise ParameterError(violations)
         return self
@@ -86,21 +101,22 @@ class SimConfig:
         window_radius: float | None = None,
         guard_radius: float | None = None,
     ) -> "SimConfig":
-        """Default geometry: window 15/sqrt(lambda), guard 150/sqrt(lambda).
-
-        See the module docstring for why the guard is an order of magnitude
-        wider than the window.
-        """
+        """Default geometry: window 15/sqrt(lambda), near field 40/sqrt(lambda)."""
         scale = 1.0 / math.sqrt(params.lam)
         return cls(
             window_radius=15.0 * scale if window_radius is None else window_radius,
             trials=trials,
             seed=seed,
-            guard_radius=150.0 * scale if guard_radius is None else guard_radius,
+            guard_radius=40.0 * scale if guard_radius is None else guard_radius,
         ).validate()
 
     def min_guard(self, params: NetworkParams) -> float:
-        """Floor below which the truncation bias is clearly material."""
+        """Floor on the near-field radius.
+
+        At the floor the far-field closed form already carries about a
+        quarter of -log P_s at the default optimum; below it the simulator
+        would increasingly restate the formula it is meant to check.
+        """
         return 10.0 / math.sqrt(params.lam)
 
 
@@ -125,7 +141,12 @@ class PointConfiguration:
 
 @dataclass(frozen=True)
 class TrialSample:
-    """Per-trial outcome; progress is 0 when no relay or the link fails."""
+    """Per-trial outcome.
+
+    progress is the conditional expected progress d*cos_offset*P_s (0 when
+    no relay is found); sir and success describe one fading draw over the
+    near field and are diagnostics only.
+    """
 
     trial: int
     relay_found: bool
@@ -304,6 +325,22 @@ def sir_at(
 # trials and estimators
 # =====================================================================
 
+def far_field_integral(s: float, alpha: float, radius: float) -> float:
+    """F(L) = integral over r > L of 2*pi*r * s*r^-alpha / (1 + s*r^-alpha).
+
+    Termwise integration of the geometric series in -s*r^-alpha gives
+    2*pi*s*L^(2-alpha)/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -s*L^-alpha);
+    scipy's hyp2f1 continues it analytically where s*L^-alpha > 1.
+    """
+    if not (alpha > 2.0 and radius > 0.0 and s >= 0.0):
+        raise DomainError(
+            f"far field needs alpha > 2, radius > 0, s >= 0; got {(alpha, radius, s)}"
+        )
+    a = 1.0 - 2.0 / alpha
+    hyp = float(_special.hyp2f1(1.0, a, 1.0 + a, -s * radius**-alpha))
+    return TWO_PI * s * radius ** (2.0 - alpha) / (alpha - 2.0) * hyp
+
+
 def run_trial(
     params: NetworkParams,
     sim: SimConfig,
@@ -318,10 +355,21 @@ def run_trial(
     degenerate draw (measure-zero coincidence) is redrawn from a fresh
     attempt substream.
     """
+    return _draw_trial(params, sim, trial_index, variant, (sim.guard_radius,))[0]
+
+
+def _draw_trial(
+    params: NetworkParams,
+    sim: SimConfig,
+    trial_index: int,
+    variant: ProtocolVariant,
+    radii: tuple[float, ...],
+) -> list[TrialSample]:
+    """The trial's sample at each near-field radius, from common draws."""
     for attempt in range(100):
         rng = substream(sim.seed, _TAG_TRIAL, trial_index, attempt)
         try:
-            return _run_trial_once(params, sim, trial_index, variant, rng)
+            return _run_trial_once(params, sim, trial_index, variant, radii, rng)
         except DegenerateSampleError:
             continue
     raise DegenerateSampleError(
@@ -334,14 +382,15 @@ def _run_trial_once(
     sim: SimConfig,
     trial_index: int,
     variant: ProtocolVariant,
+    radii: tuple[float, ...],
     rng: np.random.Generator,
-) -> TrialSample:
+) -> list[TrialSample]:
     receivers = sample_ppp(
         (1.0 - params.p) * params.lam, sim.window_radius, rng
     )
     relay = select_relay(receivers, params.phi, params.r_m)
     if relay is None:
-        return TrialSample(
+        miss = TrialSample(
             trial=trial_index,
             relay_found=False,
             d=math.nan,
@@ -350,23 +399,43 @@ def _run_trial_once(
             success=False,
             progress=0.0,
         )
+        return [miss] * len(radii)
     d = float(np.hypot(*relay))
     cos_offset = float(relay[0] / d)  # heading 0 points along +x
 
-    guard_limit = sim.window_radius + sim.guard_radius
-    others = sample_ppp(params.p * params.lam, guard_limit, rng)
-    config = assign_roles(others, 1.0, rng, guard_limit)
+    # interferers are drawn once in the widest disk around the relay; a
+    # smaller radius keeps the points inside it, which is exactly its process
+    widest = max(radii)
+    offsets = sample_ppp(params.p * params.lam, widest, rng)
+    config = assign_roles(offsets + relay, 1.0, rng, widest)
     sir = sir_at(relay, (0.0, 0.0), 0.0, config, params, rng, variant)
     success = sir > params.beta
-    return TrialSample(
-        trial=trial_index,
-        relay_found=True,
-        d=d,
-        cos_offset=cos_offset,
-        sir=sir,
-        success=success,
-        progress=d * cos_offset if success else 0.0,
-    )
+
+    dists = np.hypot(offsets[:, 0], offsets[:, 1])
+    if (dists == 0.0).any():
+        raise DegenerateSampleError("interferer coincides with the relay")
+    q = params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
+    s = params.beta * d**params.alpha
+    x = s * dists**-params.alpha
+    log_pass = np.log1p((1.0 - q) * x) - np.log1p(x)
+    density = params.p * params.lam * q
+    samples = []
+    for radius in radii:
+        log_ps = float(np.sum(log_pass[dists <= radius])) - density * far_field_integral(
+            s, params.alpha, radius
+        )
+        samples.append(
+            TrialSample(
+                trial=trial_index,
+                relay_found=True,
+                d=d,
+                cos_offset=cos_offset,
+                sir=sir,
+                success=success,
+                progress=d * cos_offset * math.exp(log_ps),
+            )
+        )
+    return samples
 
 
 def _collect_chunk(args) -> list[TrialSample]:
@@ -387,6 +456,7 @@ def collect_trials(
     """
     params.validate()
     sim.validate()
+    workers = worker_count(workers, sim.trials)
     if workers <= 1:
         return _collect_chunk((params, sim, variant, 0, sim.trials))
     chunk = max(1, math.ceil(sim.trials / (workers * 4)))
@@ -399,6 +469,11 @@ def collect_trials(
         for part in pool.map(_collect_chunk, jobs):
             samples.extend(part)
     return samples
+
+
+def worker_count(requested: int, jobs: int) -> int:
+    """Processes worth starting: no more than the jobs or the CPUs."""
+    return min(requested, jobs, os.cpu_count() or 1)
 
 
 def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> ProgressEstimate:
@@ -427,8 +502,8 @@ def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> Progr
 def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:
     """Preconditions for a trustworthy progress estimate.
 
-    Requires sim.trials >= 100 for a meaningful standard error and a guard
-    radius at or above the material-bias floor (see SimConfig.min_guard).
+    Requires sim.trials >= 100 for a meaningful standard error and a
+    near-field radius at or above SimConfig.min_guard.
     """
     params.validate()
     sim.validate()
@@ -437,8 +512,9 @@ def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:
         violations.append("trials must be >= 100 for a meaningful std_error")
     if sim.guard_radius < sim.min_guard(params):
         violations.append(
-            f"guard_radius {sim.guard_radius:.3g} below the sizing floor "
-            f"{sim.min_guard(params):.3g}; truncation bias would dominate"
+            f"guard_radius {sim.guard_radius:.3g} below the near-field floor "
+            f"{sim.min_guard(params):.3g}; the far-field closed form would carry "
+            "too much of the interference under test"
         )
     if violations:
         raise ParameterError(violations)
@@ -519,53 +595,21 @@ def guard_sensitivity(
     guards: list[float],
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> list[ProgressEstimate]:
-    """Progress estimates under several guard radii with common draws.
+    """Progress estimates under several near-field radii with common draws.
 
-    Interferers are sampled once per trial in the widest disk and filtered
-    down for each smaller guard, so the sampled process under each guard is
-    exactly the corresponding Poisson process and the comparison across
-    guards carries no independent-sampling noise.
+    Each trial runs the trial kernel once with interferers drawn in the
+    widest disk; a smaller radius keeps the points inside it and integrates
+    the rest exactly, so every radius sees exactly its Poisson process. The
+    estimator is unbiased at any radius, so the estimates may differ only by
+    the small noise the radii do not share.
     """
     params.validate()
     sim.validate()
     if not guards:
         raise DomainError("need at least one guard radius")
-    order = np.argsort(guards)[::-1]
-    widest = float(guards[int(order[0])])
-    per_guard: dict[float, list[TrialSample]] = {float(g): [] for g in guards}
+    radii = tuple(float(g) for g in guards)
+    per_guard: list[list[TrialSample]] = [[] for _ in radii]
     for i in range(sim.trials):
-        rng = substream(sim.seed, _TAG_GUARD, i)
-        receivers = sample_ppp((1.0 - params.p) * params.lam, sim.window_radius, rng)
-        relay = select_relay(receivers, params.phi, params.r_m)
-        if relay is None:
-            for g in per_guard:
-                per_guard[g].append(
-                    TrialSample(i, False, math.nan, math.nan, math.nan, False, 0.0)
-                )
-            continue
-        d = float(np.hypot(*relay))
-        cos_offset = float(relay[0] / d)
-        limit = sim.window_radius + widest
-        others = sample_ppp(params.p * params.lam, limit, rng)
-        config = assign_roles(others, 1.0, rng, limit)
-
-        tx_pos = config.positions[config.is_transmitter]
-        tx_orient = config.orientations[config.is_transmitter]
-        if variant is ProtocolVariant.DIRECTIONAL:
-            cover = sector_covers(tx_pos, tx_orient, relay, params.phi)
-        else:
-            cover = np.ones(len(tx_pos), dtype=bool)
-        dists = np.hypot(tx_pos[:, 0] - relay[0], tx_pos[:, 1] - relay[1])
-        origin_dist = np.hypot(tx_pos[:, 0], tx_pos[:, 1])
-        fading = _exponential(rng, params.mu, len(tx_pos))
-        signal = float(_exponential(rng, params.mu)) * d ** -params.alpha
-        for g in per_guard:
-            mask = cover & (origin_dist <= sim.window_radius + g)
-            interference = float(np.sum(fading[mask] * dists[mask] ** -params.alpha))
-            sir = math.inf if interference == 0.0 else signal / interference
-            success = sir > params.beta
-            per_guard[g].append(
-                TrialSample(i, True, d, cos_offset, sir, success,
-                            d * cos_offset if success else 0.0)
-            )
-    return [summarize_trials(per_guard[float(g)], params) for g in guards]
+        for samples, sample in zip(per_guard, _draw_trial(params, sim, i, variant, radii)):
+            samples.append(sample)
+    return [summarize_trials(samples, params) for samples in per_guard]

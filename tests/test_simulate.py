@@ -10,12 +10,13 @@ their budgets, not at the edge.
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sectorrelay import analytic, simulate
+from sectorrelay import analytic, simulate, specfun
 from sectorrelay.errors import (
     DegenerateSampleError,
     DomainError,
@@ -326,6 +327,13 @@ def test_run_trial_unreachable_region():
     assert est.mean == 0.0
 
 
+def test_worker_count_caps_a_huge_request():
+    cpus = os.cpu_count() or 1
+    assert simulate.worker_count(10**9, 10**6) == min(10**6, cpus)
+    assert simulate.worker_count(10**9, 1) == 1
+    assert simulate.worker_count(1, 10**6) == 1
+
+
 def test_collect_trials_parallel_matches_serial():
     sim = simulate.SimConfig(window_radius=6.0, trials=60, seed=123, guard_radius=10.0)
     serial = simulate.collect_trials(BASE, sim, workers=1)
@@ -402,6 +410,66 @@ def test_fading_scale_invariance():
     ea = simulate.summarize_trials(base, BASE)
     eb = simulate.summarize_trials(scaled, BASE)
     assert abs(ea.mean - eb.mean) < 3.0 * math.hypot(ea.std_error, eb.std_error)
+
+
+@pytest.mark.parametrize("alpha", [2.1, 3.0, 5.0])
+@pytest.mark.parametrize("s, radius", [(0.5, 10.0), (10.0, 0.5), (3.0, 1.0)])
+def test_far_field_integral_matches_quadrature(alpha, s, radius):
+    # (10, 0.5) and (3, 1) put s*L^-alpha past 1, where hyp2f1 continues
+    # its series analytically
+    quad = specfun.integrate_semi_infinite(
+        lambda r: 2 * math.pi * r * s * r**-alpha / (1 + s * r**-alpha),
+        radius, rel_tol=1e-12,
+    )
+    got = simulate.far_field_integral(s, alpha, radius)
+    assert got == pytest.approx(quad.value, rel=1e-10)
+
+
+def test_far_field_integral_domain_errors():
+    for bad in [(1.0, 2.0, 1.0), (1.0, 3.0, 0.0), (-1.0, 3.0, 1.0)]:
+        with pytest.raises(DomainError):
+            simulate.far_field_integral(*bad)
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_empty_near_field_gives_the_closed_success_probability(variant):
+    # a near field too small to hold a point leaves only the exact far
+    # field, whose radius-0 limit is the closed-form success probability
+    sim = simulate.SimConfig(window_radius=15.0, trials=1, seed=9, guard_radius=1e-8)
+    found = 0
+    for i in range(40):
+        sample = simulate.run_trial(OPT, sim, i, variant)
+        if not sample.relay_found:
+            continue
+        found += 1
+        assert sample.sir == math.inf
+        expected = sample.d * sample.cos_offset * analytic.success_probability(
+            OPT, sample.d, variant
+        )
+        assert sample.progress == pytest.approx(expected, rel=1e-12)
+    assert found > 30
+
+
+def test_near_field_radius_leaves_the_estimate_unbiased():
+    sim = simulate.SimConfig(window_radius=15.0, trials=500, seed=3, guard_radius=10.0)
+    small, large = simulate.guard_sensitivity(OPT, sim, guards=[5.0, 20.0])
+    assert abs(small.mean - large.mean) < 3.0 * math.hypot(small.std_error, large.std_error)
+
+
+def test_default_near_field_dominates_the_interference():
+    # the far-field closed form must stay a small correction, so that the
+    # simulator still samples most of the interference it is checking
+    sim = simulate.SimConfig.for_params(OPT, trials=300, seed=11)
+    assert sim.guard_radius >= sim.min_guard(OPT)
+    density = analytic.interferer_density(OPT)
+    far = total = 0.0
+    for sample in simulate.collect_trials(OPT, sim):
+        if not sample.relay_found:
+            continue
+        s = OPT.beta * sample.d**OPT.alpha
+        far += density * simulate.far_field_integral(s, OPT.alpha, sim.guard_radius)
+        total -= math.log(sample.progress / (sample.d * sample.cos_offset))
+    assert far < 0.1 * total
 
 
 def test_guard_doubling_shifts_less_than_one_sigma():
