@@ -20,7 +20,7 @@ from sectorrelay.model import (
 base = NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=0.12, phi=math.pi / 2)
 
 # =====================================================================
-# joint optimization with residual certification
+# joint optimization, certified by a bracketed root
 # =====================================================================
 print("== joint optimum at phi = pi/2 ==")
 best = optimize.optimize_joint(base)
@@ -34,8 +34,9 @@ print()
 # the scale-free stationarity system
 # =====================================================================
 # Both first-order conditions can be written in (p, u) with u = k r_m^2;
-# the beamwidth cancels entirely. Solving that system is an independent
-# route to the same optimum.
+# the beamwidth cancels entirely. The radial one gives p exactly as a
+# function of u, and the optimum is the one sign change of dlogF/dp along
+# that curve. optimize_joint is this solve plus r_m* = sqrt(u*/k).
 print("== scale-free system ==")
 t = spatial_interference_constant(base.alpha, base.beta)
 p_sys, u_sys = optimize.solve_stationary_system(t)

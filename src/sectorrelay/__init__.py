@@ -55,7 +55,6 @@ from .optimize import (
     ConstancyReport,
     ConstancyRow,
     OptimizationResult,
-    maximize_scalar,
     optimize_joint,
     optimize_rm,
     p_constancy_report,
@@ -119,7 +118,6 @@ __all__ = [
     "ConstancyReport",
     "ConstancyRow",
     "OptimizationResult",
-    "maximize_scalar",
     "optimize_joint",
     "optimize_rm",
     "p_constancy_report",

@@ -22,8 +22,8 @@ on the optimal reference distance is the smaller root of the quadratic
 
 which follows from the two-sided incomplete-gamma bound
 Gamma(3/2, x) < (Gamma(1, x) + Gamma(2, x))/2 (strict for all x >= 0; see
-rm_upper_bound for the variant with the constant term halved, kept only
-for comparison because it does NOT dominate the optimum).
+rm_quadratic_roots for the variant with the constant term halved, kept
+only for comparison because it does NOT dominate the optimum).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import DomainError, VacuousBoundError
 from .model import (
     NetworkParams,
     ProtocolVariant,
+    effective_interference_constant,
     radial_decay_rate,
     spatial_interference_constant,
 )
@@ -121,18 +122,15 @@ def relay_distance_pdf(params: NetworkParams, r: float) -> float:
 # expected density of progress: closed form and quadrature twin
 # =====================================================================
 
-def _decay_rates(params: NetworkParams, variant: ProtocolVariant) -> tuple[float, float, float]:
-    """(a, b, k): outage decay a, void decay b, combined k = a + b.
+def _decay_rates(params: NetworkParams, variant: ProtocolVariant) -> tuple[float, float]:
+    """(a, k): outage decay a and combined decay k = a + b.
 
-    a = interferer_density * t governs the success exponent; b is the
-    relay-void exponent lambda*(1-p)*phi/2. Their sum is the k of
-    model.radial_decay_rate in the directional case and
-    p*lambda*t + lambda*(1-p)*phi/2 in the omnidirectional one.
+    k is model.radial_decay_rate at the variant's effective interference
+    constant; b = lambda*(1-p)*phi/2 is the relay-void exponent, shared by
+    both variants, and a = interferer_density * t is what is left.
     """
-    t = spatial_interference_constant(params.alpha, params.beta)
-    a = interferer_density(params, variant) * t
-    b = params.lam * (1.0 - params.p) * params.phi / 2.0
-    return a, b, a + b
+    k = radial_decay_rate(params, effective_interference_constant(params, variant))
+    return k - params.lam * (1.0 - params.p) * params.phi / 2.0, k
 
 
 def log_expected_density(
@@ -151,7 +149,7 @@ def log_expected_density(
     sin(phi/2); the defensive sin <= 0 branch returns -inf.
     """
     params.validate()
-    a, _, k = _decay_rates(params, variant)
+    a, k = _decay_rates(params, variant)
     u = k * params.r_m**2
     s = math.sin(params.phi / 2.0)
     if s <= 0.0:
@@ -224,20 +222,22 @@ def omni_expected_density(params: NetworkParams) -> float:
 # bounds and closed-form optima for the reference distance
 # =====================================================================
 
-def rm_upper_bound(params: NetworkParams, variant: str = "standard") -> float:
-    """Upper bound on the optimal reference distance at fixed p.
+def rm_quadratic_roots(params: NetworkParams, variant: str = "standard") -> tuple[float, float]:
+    """Both roots of the bound quadratic at fixed p, smaller first.
 
-    variant="standard": smaller root of k*C*r^2 - 4*k^(3/2)*r + 2*C = 0
-    with C = lambda*(1-p)*phi. At a stationary point of the progress
-    density, the strict bound Gamma(3/2, u) < (Gamma(1,u)+Gamma(2,u))/2
-    forces that quadratic positive, and the optimum falls below the smaller
-    root; this is the bound that provably dominates the numerical optimum.
+    variant="standard": k*C*r^2 - 4*k^(3/2)*r + 2*C = 0 with
+    C = lambda*(1-p)*phi. At a stationary point of the progress density,
+    the strict bound Gamma(3/2, u) < (Gamma(1,u)+Gamma(2,u))/2 forces that
+    quadratic positive, and the optimum falls below the smaller root; this
+    is the bound that provably dominates the numerical optimum.
 
     variant="alternate": same quadratic with the constant term halved
     (discriminant 4k^3 - k*C^2 instead of 4k^3 - 2k*C^2). Kept only for
     side-by-side reporting: it does NOT dominate the optimum (it sits at
     about 0.52x the optimum where the standard root sits at 1.10x).
 
+    Vieta: the product of the roots is 2/k for the standard variant and
+    1/k for the alternate one (constant term over leading coefficient).
     Raises VacuousBoundError when the discriminant is negative (possible
     for the standard variant at small t): the parabola is then positive
     everywhere and the stationarity argument constrains nothing.
@@ -254,29 +254,15 @@ def rm_upper_bound(params: NetworkParams, variant: str = "standard") -> float:
             f"negative discriminant ({disc:.6g}) for the {variant} bound: "
             "the quadratic has no real root and the bound is vacuous"
         )
-    return (2.0 * k**1.5 - math.sqrt(disc)) / (k * c)
-
-
-def rm_quadratic_roots(params: NetworkParams, variant: str = "standard") -> tuple[float, float]:
-    """Both roots of the bound quadratic, for consistency checks.
-
-    Vieta: the product of the roots is 2/k for the standard variant and
-    1/k for the alternate one (constant term over leading coefficient).
-    """
-    params.validate()
-    if variant not in BOUND_VARIANTS:
-        raise ValueError(f"unknown bound variant {variant!r}; use one of {BOUND_VARIANTS}")
-    k = radial_decay_rate(params)
-    c = params.lam * (1.0 - params.p) * params.phi
-    factor = 2.0 if variant == "standard" else 1.0
-    disc = 4.0 * k**3 - factor * k * c * c
-    if disc < 0.0:
-        raise VacuousBoundError(
-            f"negative discriminant ({disc:.6g}) for the {variant} bound"
-        )
     lo = (2.0 * k**1.5 - math.sqrt(disc)) / (k * c)
     hi = (2.0 * k**1.5 + math.sqrt(disc)) / (k * c)
     return lo, hi
+
+
+def rm_upper_bound(params: NetworkParams, variant: str = "standard") -> float:
+    """Upper bound on the optimal reference distance at fixed p: the
+    smaller root of rm_quadratic_roots (see there for the variants)."""
+    return rm_quadratic_roots(params, variant)[0]
 
 
 def rm_from_p(params: NetworkParams, p: float) -> float:
@@ -320,13 +306,16 @@ class StationarityResiduals:
 
     Expressed in u = k*r_m^2, both residuals depend only on (p, u, t):
     the beamwidth phi cancels, which is why the jointly optimal p is
-    beamwidth-independent.
+    beamwidth-independent. For the omnidirectional variant t is the
+    effective constant 2*pi*t/phi (model.effective_interference_constant).
 
     res_rm: stationarity in the reference distance,
         Gamma(3/2, u)*(1-p) - (p*t/pi + 1 - p)*sqrt(u)*exp(-u).
     res_p: stationarity in the transmission probability,
-        (B(p, u) )*S(u) + S(u)*u - u^(3/2),  S(u) = exp(u)*Gamma(3/2, u),
-        B = -t*u/(t-pi) - 3/2 + (1-2p)*(p*t + pi*(1-p))/(p*(1-p)*(t-pi)).
+        B(p, u)*S(u) + (t-pi)*(S(u)*u - u^(3/2)),  S(u) = exp(u)*Gamma(3/2, u),
+        B = -t*u - (3/2)*(t-pi) + (1-2p)*(p*t + pi*(1-p))/(p*(1-p)).
+    res_p is written without a division by (t - pi), so it is defined for
+    every t > 0.
     """
 
     res_rm: float
@@ -345,17 +334,15 @@ def stationarity_residuals(p: float, u: float, t: float) -> StationarityResidual
         raise DomainError(f"p must lie in (0, 1), got {p}")
     if u < 0.0:
         raise DomainError(f"u = k*r_m^2 must be >= 0, got {u}")
-    if t <= math.pi:
-        raise DomainError(f"stationarity residuals require t > pi, got t={t:.6g}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise DomainError(f"stationarity residuals require finite t > 0, got t={t:.6g}")
     g = specfun.gamma_upper_3half(u)
     res_rm = g * (1.0 - p) - (p * t / math.pi + 1.0 - p) * math.sqrt(u) * math.exp(-u)
     s = specfun.gamma_upper_3half_scaled(u)
     bracket = (
-        -t * u / (t - math.pi)
-        - 1.5
-        + (1.0 - 2.0 * p)
-        * (p * t + math.pi * (1.0 - p))
-        / (p * (1.0 - p) * (t - math.pi))
+        -t * u
+        - 1.5 * (t - math.pi)
+        + (1.0 - 2.0 * p) * (p * t + math.pi * (1.0 - p)) / (p * (1.0 - p))
     )
-    res_p = bracket * s + s * u - u**1.5
+    res_p = bracket * s + (t - math.pi) * (s * u - u**1.5)
     return StationarityResiduals(res_rm=res_rm, res_p=res_p)

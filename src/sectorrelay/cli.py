@@ -122,6 +122,13 @@ def _status_from_exc(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
+def _certified_status(*results) -> str:
+    """A row's status: "ok" only when every optimum in it is certified."""
+    if all(res.converged for res in results):
+        return "ok"
+    return "error: OptimizationError: optimum not certified (the root search did not converge)"
+
+
 def _errors_in(rows) -> int:
     return sum(1 for row in rows if str(row[-1]).startswith("error"))
 
@@ -188,14 +195,15 @@ def _row_fig2(job) -> tuple:
     params, phi = job
     try:
         trial = dataclasses.replace(params, phi=phi)
-        rm_num = optimize.optimize_rm(trial).rm_star
-        status = "ok"
+        best = optimize.optimize_rm(trial)
+        rm_num = best.rm_star
+        status = _certified_status(best)
         try:
             printed = analytic.rm_upper_bound(trial, "standard")
         except VacuousBoundError:
             # no real root: the quadratic constrains nothing, bound = +inf
             printed = math.inf
-            status = "ok (printed bound vacuous)"
+            status += " (printed bound vacuous)"
         derived = analytic.rm_upper_bound(trial, "alternate")
         return (
             phi,
@@ -222,7 +230,7 @@ def _row_fig34(job) -> tuple:
             joint.rm_star,
             rm_closed,
             int(joint.converged),
-            "ok",
+            _certified_status(joint),
         )
     except Exception as exc:
         return (phi, math.nan, math.nan, math.nan, 0, _status_from_exc(exc))
@@ -248,7 +256,7 @@ def _row_fig5(job) -> tuple:
                     at_opt, sim, variant, workers=sim_settings["workers"]
                 )
                 row += [est.mean, est.std_error]
-        return tuple(row + ["ok"])
+        return tuple(row + [_certified_status(best_dir, best_omni)])
     except Exception as exc:
         width = 3 + (4 if sim_settings is not None else 0)
         return (phi,) + (math.nan,) * (width - 1) + (_status_from_exc(exc),)
@@ -268,7 +276,7 @@ def _row_sweep(job) -> tuple:
             row = [value, best.p_star, best.rm_star, best.objective]
             if scaling:
                 row.append(best.objective / math.sqrt(trial.lam))
-            return tuple(row + ["ok"])
+            return tuple(row + [_certified_status(best)])
         closed = analytic.expected_density_closed(trial, variant)
         numeric = analytic.expected_density_numeric(trial, variant)
         return (value, closed, numeric, "ok")
@@ -408,11 +416,11 @@ def run_optimize(params: NetworkParams, settings: dict, outdir: Path):
             p_star,
             res.rm_star,
             res.objective,
-            math.nan if res.residual_rm is None else res.residual_rm,
-            math.nan if res.residual_p is None else res.residual_p,
+            res.residual_rm,
+            res.residual_p,
             res.iterations,
             int(res.converged),
-            "ok",
+            _certified_status(res),
         )
     except Exception as exc:
         row = (settings["mode"],) + (math.nan,) * 6 + (0, _status_from_exc(exc))
@@ -563,11 +571,21 @@ def _execute(
 
 def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ParameterError([f"manifest {path} is not a JSON object"])
+    missing = [key for key in ("command", "params", "settings") if key not in doc]
+    if missing:
+        raise ParameterError([f"manifest {path} lacks key: {key}" for key in missing])
     command = doc["command"]
-    if command not in HANDLERS:
+    if not isinstance(command, str) or command not in HANDLERS:
         raise ParameterError([f"manifest names unknown command: {command}"])
-    params = NetworkParams.from_exact_mapping(doc["params"])
-    outdir = Path(outdir_flag) if outdir_flag else Path(doc["outdir"])
+    for key in ("params", "settings"):
+        if not isinstance(doc[key], dict):
+            raise ParameterError([f"manifest {path}: {key} is not a JSON object"])
+    params = NetworkParams.from_mapping(doc["params"])
+    if not (outdir_flag or "outdir" in doc):
+        raise ParameterError([f"manifest {path} lacks key: outdir (or pass --outdir)"])
+    outdir = Path(outdir_flag or doc["outdir"])
     return _execute(command, params, doc["settings"], outdir, doc.get("overrides", []))
 
 

@@ -30,10 +30,10 @@ class OptimizationError(RuntimeError):
 
 
 class RootFindError(OptimizationError):
-    """The stationarity system has no root inside the search box.
+    """A root search in u found no bracketing sign change, or did not converge.
 
-    Carries ``sign_map``, a coarse-grid table of residual signs that shows
-    where (if anywhere) each residual changes sign.
+    Carries ``sign_map``: the u values probed while bracketing and the
+    slope at each, which shows where (if anywhere) the sign changes.
     """
 
     def __init__(self, message, sign_map=None):

@@ -15,6 +15,10 @@ Two constants recur throughout the closed forms:
        and requires alpha > 2 to exist.
   k  - the combined radial decay rate (lambda*phi/2)*(p*t/pi + (1 - p))
        of the progress integrand; linear in p, lambda and phi.
+
+The omnidirectional baseline is the directional model with t replaced by
+t_eff = 2*pi*t/phi (effective_interference_constant), so one k formula
+serves both variants.
 """
 
 from __future__ import annotations
@@ -172,19 +176,6 @@ class NetworkParams:
         or a JSON object with the same documented keys."""
         return cls.from_mapping(parse_config_mapping(text))
 
-    @classmethod
-    def from_exact_mapping(cls, mapping: Mapping) -> "NetworkParams":
-        """Inverse of to_exact_mapping (linear beta, all keys present)."""
-        return cls(
-            lam=float(mapping["lambda"]),
-            alpha=float(mapping["alpha"]),
-            beta=float(mapping["beta"]),
-            p=float(mapping["p"]),
-            phi=float(mapping["phi"]),
-            mu=float(mapping["mu"]),
-            r_m=float(mapping["r_m"]),
-        ).validate()
-
     def to_json(self) -> str:
         return json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n"
 
@@ -247,6 +238,21 @@ def radial_decay_rate(params: NetworkParams, t: float | None = None) -> float:
     if t is None:
         t = spatial_interference_constant(params.alpha, params.beta)
     return params.lam * params.phi / 2.0 * (params.p * t / math.pi + (1.0 - params.p))
+
+
+def effective_interference_constant(params: NetworkParams, variant: ProtocolVariant) -> float:
+    """t_eff: the t that makes the directional formulas describe ``variant``.
+
+    A directional interferer covers a receiver with probability
+    phi/(2*pi); an omnidirectional one always does, which multiplies the
+    outage exponent by 2*pi/phi: t_eff = t for the directional variant and
+    2*pi*t/phi for the omnidirectional one. This is the one place where
+    the variant enters the decay rates and the optimizer.
+    """
+    t = spatial_interference_constant(params.alpha, params.beta)
+    if variant is ProtocolVariant.DIRECTIONAL:
+        return t
+    return t * (TWO_PI / params.phi)  # exactly t at phi = 2*pi
 
 
 def derive_constants(params: NetworkParams) -> DerivedConstants:

@@ -1,57 +1,64 @@
-"""Numerical optimization of the expected density of progress.
+"""Optimization of the expected density of progress.
 
-Three routes of increasing precision, kept deliberately distinct so they
-can cross-check each other:
+Both protocol variants share one scale-free objective. With u = k*r_m^2
+and tau = t_eff/pi,
 
-  1. maximize_scalar / optimize_rm: derivative-free search on the closed
-     form (grid pre-scan + golden section).
-  2. optimize_joint: coordinate ascent over (p, r_m), simplex polish, then
-     a short damped-Newton refinement on the stationarity residuals to
-     certify first-order optimality to high precision.
-  3. solve_stationary_system: root-finding on the scale-free residuals
-     alone, never touching the objective. Because both residuals live in
-     (p, u) with the beamwidth cancelled, its answer is the same for every
-     phi; the optimizer's answer must agree with it.
+    E = sqrt(lambda) * sin(phi/2) * (phi/2)^(-3/2) * F(p, u; tau),
+    F = p*(1-p) * c^(-3/2) * Gamma(3/2, u) * exp(u*(1-p)/c),  c = 1 + p*(tau-1),
+
+where t_eff is the variant's effective interference constant
+(model.effective_interference_constant): t for the directional variant,
+2*pi*t/phi for the omnidirectional one. Density and beamwidth only scale
+F, so the optimal (p, u) depends on tau alone.
+
+One solve serves every optimum. The radial condition dF/du = 0 is linear
+in p and gives p exactly,
+
+    p(u) = (S - sqrt(u)) / (S + (tau-1)*sqrt(u)),   S = exp(u)*Gamma(3/2, u),
+
+which lies in (0, 1) for every u > 0 and tau > 0. The joint optimum is the
+one sign change of dlogF/dp along that curve: negative as u -> 0, positive
+as u -> inf. The bracket is found by halving and doubling u from 1, and
+brentq narrows it to a relative width of U_RTOL; a sign change narrowed
+that far is the certificate. optimize_rm finds the root of the radial
+condition in u at fixed p the same way. The test suite checks both against
+brute-force grids on the closed form.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
 from scipy import optimize as _sciopt
 
 from . import analytic, specfun
-from .errors import OptimizationError, RootFindError
+from .errors import DomainError, RootFindError
 from .model import (
     NetworkParams,
     ProtocolVariant,
+    effective_interference_constant,
     radial_decay_rate,
-    spatial_interference_constant,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Search box for the transmission probability; the closed-form optimum
-#: requires p < 1/2 and the objective vanishes at both endpoints.
-P_BOX = (0.005, 0.495)
-
-#: Residual-in-u search box for the stationarity system.
-U_BOX = (1e-8, 10.0)
+#: Relative width to which brentq narrows a bracket in u (its smallest rtol).
+U_RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of an optimization run.
 
-    p_star is None for fixed-p searches. residual_rm / residual_p hold the
-    first-order residuals at the reported optimum where they apply (None
-    for the omnidirectional variant, whose residual system is not part of
-    the scale-free reduction). converged requires both the search to have
-    finished and the applicable residuals to sit below tolerance_used.
+    converged is True when the optimum sits in a sign change of the
+    objective's slope in u that brentq narrowed to a relative width of
+    U_RTOL: the optimum is then certified. iterations counts the bracket
+    steps and the brentq iterations. residual_rm and residual_p are the
+    stationarity residuals at the optimum, evaluated at the variant's
+    effective interference constant. Fixed-p searches (optimize_rm) report
+    p_star None and residual_p nan.
     """
 
     p_star: float | None
@@ -59,321 +66,152 @@ class OptimizationResult:
     objective: float
     iterations: int
     converged: bool
-    tolerance_used: float
-    residual_rm: float | None = None
-    residual_p: float | None = None
+    residual_rm: float
+    residual_p: float = math.nan
 
 
-def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    pre_scan: int = 64,
-) -> tuple[float, float]:
-    """Maximize f on [lo, hi]: dense pre-scan, then golden-section.
+def _split_p(u: float, tau: float) -> tuple[float, float]:
+    """(p, 1 - p) solving the radial condition at u, each without cancellation.
 
-    The pre-scan guards against mild non-unimodality by bracketing the best
-    grid cell before the golden-section contraction. Ties within a relative
-    1e-12 of the best scan value break toward the smaller abscissa; the
-    window scales with the best value so that uniformly tiny objectives
-    (e.g. after a near-vanishing prefactor) are not all lumped together.
-    Raises OptimizationError on a bad bracket or a NaN objective value.
+    S - sqrt(u) = exp(u)*Gamma(1/2, u)/2, so p = g/(g + tau*sqrt(u)) with
+    g = exp(u)*Gamma(1/2, u)/2.
     """
-    if not (hi > lo):
-        raise OptimizationError(f"bad bracket: need hi > lo, got [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, pre_scan)
-    fs = np.array([f(x) for x in xs], dtype=float)
-    if np.isnan(fs).any():
-        bad = xs[int(np.argmax(np.isnan(fs)))]
-        raise OptimizationError(f"objective returned NaN at x={bad}")
-    f_best = fs.max()
-    tie_window = 1e-12 * abs(f_best) if math.isfinite(f_best) else 0.0
-    best = int(np.argmax(np.where(fs >= f_best - tie_window, -xs, -np.inf)))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, pre_scan - 1)]
-
-    # golden-section contraction on [a, b]
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = pre_scan + 2
-    while b - a > tol:
-        if math.isnan(fc) or math.isnan(fd):
-            raise OptimizationError(f"objective returned NaN inside [{a}, {b}]")
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    x_star = (a + b) / 2.0
-    return x_star, f(x_star)
+    s = math.sqrt(u)
+    g = specfun.gamma_upper_half_scaled(u) / 2.0
+    d = g + tau * s
+    return g / d, tau * s / d
 
 
-def _objective(params: NetworkParams, variant: ProtocolVariant) -> Callable[[float, float], float]:
-    """Progress density as a function of (p, r_m) with other params fixed."""
+def _ridge_slope(u: float, tau: float) -> float:
+    """-dlogF/dp at (p(u), u).
 
-    def f(p: float, rm: float) -> float:
-        trial = dataclasses.replace(params, p=p, r_m=rm)
-        return analytic.expected_density_closed(trial, variant)
+    On the curve p(u) the radial derivative vanishes and p decreases in u,
+    so this has the sign of d/du F(p(u), u): positive below the joint
+    optimum, negative above it.
+    """
+    p, q = _split_p(u, tau)
+    c = q + p * tau  # = 1 + p*(tau - 1), without cancellation as p -> 1
+    return 1.0 / q - 1.0 / p + 1.5 * (tau - 1.0) / c + u * tau / (c * c)
 
-    return f
+
+def _radial_slope(u: float, p: float, tau: float) -> float:
+    """exp(u) * res_rm at fixed p: the sign of dF/du.
+
+    Equals g*(1-p) - p*tau*sqrt(u) with g = exp(u)*Gamma(1/2, u)/2, which
+    is positive at u = 0 and negative as u -> inf.
+    """
+    return specfun.gamma_upper_half_scaled(u) / 2.0 * (1.0 - p) - p * tau * math.sqrt(u)
 
 
-def _rm_search_limit(params: NetworkParams, p: float, variant: ProtocolVariant) -> float:
-    """Upper end of the r_m bracket: 3/sqrt(k), where the gamma tail has
-    killed the objective in the usual regimes."""
-    trial = dataclasses.replace(params, p=p)
-    if variant is ProtocolVariant.DIRECTIONAL:
-        k = radial_decay_rate(trial)
-    else:
-        t = spatial_interference_constant(params.alpha, params.beta)
-        k = p * params.lam * t + params.lam * (1.0 - p) * params.phi / 2.0
-    return 3.0 / math.sqrt(k)
+def _ascent_root(slope: Callable[[float], float]) -> tuple[float, int, bool]:
+    """Root of a slope that is positive below it and negative above it.
+
+    Halves u from 1 until the slope is positive and doubles it until the
+    slope is negative, then narrows that bracket with brentq. Returns
+    (u, iterations, converged). Raises RootFindError, with the probed u
+    values and slopes as its sign map, when halving reaches 0 or doubling
+    reaches inf first.
+    """
+    probes: list[tuple[float, float]] = []
+
+    def probe(u: float) -> float:
+        if not 0.0 < u < math.inf:
+            raise RootFindError(
+                "no sign change of the slope for any positive finite u",
+                sign_map={"u": [u for u, _ in probes], "slope": [v for _, v in probes]},
+            )
+        probes.append((u, slope(u)))
+        return probes[-1][1]
+
+    lo = hi = 1.0
+    while not probe(lo) > 0.0:
+        lo, hi = lo / 2.0, lo
+    while not probe(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    u, info = _sciopt.brentq(
+        slope, lo, hi, xtol=U_RTOL * lo, rtol=U_RTOL, full_output=True, disp=False
+    )
+    return u, len(probes) + info.iterations, info.converged
+
+
+def _stationary_point(t: float) -> tuple[float, float, int, bool]:
+    """(p*, u*, iterations, converged) at interference constant t."""
+    if not (t > 0.0 and math.isfinite(t)):
+        raise DomainError(f"stationarity system requires finite t > 0, got t={t:.6g}")
+    tau = t / math.pi
+    u, iterations, converged = _ascent_root(lambda x: _ridge_slope(x, tau))
+    return _split_p(u, tau)[0], u, iterations, converged
+
+
+def solve_stationary_system(t: float) -> tuple[float, float]:
+    """Solve both stationarity residuals for (p*, u*) at interference constant t.
+
+    Defined for every t > 0: p comes from the radial condition, u from the
+    one sign change of dlogF/dp along it (see the module docstring). The
+    beamwidth does not enter. Raises RootFindError when no bracket turns
+    up or brentq does not converge in it.
+    """
+    p, u, _, converged = _stationary_point(t)
+    if not converged:
+        raise RootFindError(f"brentq did not converge on the stationary point for t={t:.6g}")
+    return p, u
+
+
+def _result(
+    params: NetworkParams,
+    variant: ProtocolVariant,
+    t_eff: float,
+    p: float,
+    u: float,
+    iterations: int,
+    converged: bool,
+    fixed_p: bool,
+) -> OptimizationResult:
+    at_p = dataclasses.replace(params, p=p)
+    rm = math.sqrt(u / radial_decay_rate(at_p, t_eff))
+    res = analytic.stationarity_residuals(p, u, t_eff)
+    return OptimizationResult(
+        p_star=None if fixed_p else p,
+        rm_star=rm,
+        objective=analytic.expected_density_closed(
+            dataclasses.replace(at_p, r_m=rm), variant
+        ),
+        iterations=iterations,
+        converged=converged,
+        residual_rm=res.res_rm,
+        residual_p=math.nan if fixed_p else res.res_p,
+    )
 
 
 def optimize_rm(
     params: NetworkParams,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-    tol: float = 1e-12,
-    residual_tol: float = 1e-6,
 ) -> OptimizationResult:
     """Best reference distance at fixed p (other params from ``params``).
 
-    Searches [0, 3/sqrt(k)] by pre-scan plus golden section, extending the
-    bracket whenever the argmax lands on its upper edge (slowly decaying
-    objectives at small p push the optimum past the default limit).
-    converged additionally requires the radial stationarity residual at
-    the optimum to be below residual_tol.
+    The radial residual is positive at u = 0 and negative as u -> inf, and
+    its one root in u gives r_m* = sqrt(u*/k).
     """
     params.validate()
-    f = _objective(params, variant)
-    p = params.p
-    hi = _rm_search_limit(params, p, variant)
-    iterations = 0
-    for _ in range(12):
-        rm_star, obj = maximize_scalar(lambda r: f(p, r), 0.0, hi, tol=tol)
-        iterations += 1
-        if rm_star < 0.95 * hi:
-            break
-        hi *= 2.0
-    res_rm = None
-    if variant is ProtocolVariant.DIRECTIONAL:
-        t = spatial_interference_constant(params.alpha, params.beta)
-        k = radial_decay_rate(params)
-        res_rm = analytic.stationarity_residuals(p, k * rm_star**2, t).res_rm
-        converged = abs(res_rm) < residual_tol
-    else:
-        # no scale-free residual for the baseline; accept the search result
-        converged = True
-    return OptimizationResult(
-        p_star=None,
-        rm_star=rm_star,
-        objective=obj,
-        iterations=iterations,
-        converged=converged,
-        tolerance_used=residual_tol,
-        residual_rm=res_rm,
-    )
-
-
-def _newton_refine(
-    p0: float,
-    u0: float,
-    t: float,
-    max_steps: int = 40,
-    tol: float = 1e-13,
-) -> tuple[float, float, int]:
-    """Damped Newton iteration on the stationarity residuals from (p0, u0).
-
-    Finite-difference Jacobian; step halving keeps iterates inside the
-    (p, u) box and insists on a residual-norm decrease. Returns the final
-    point and the number of steps taken; convergence is judged by the
-    caller from the residuals themselves.
-    """
-
-    def res_vec(p: float, u: float) -> np.ndarray:
-        r = analytic.stationarity_residuals(p, u, t)
-        return np.array([r.res_rm, r.res_p])
-
-    p, u = p0, u0
-    r = res_vec(p, u)
-    steps = 0
-    for _ in range(max_steps):
-        norm = float(np.linalg.norm(r))
-        if norm < tol:
-            break
-        hp = max(abs(p), 1e-3) * 1e-7
-        hu = max(abs(u), 1e-3) * 1e-7
-        jac = np.empty((2, 2))
-        jac[:, 0] = (res_vec(p + hp, u) - res_vec(p - hp, u)) / (2 * hp)
-        jac[:, 1] = (res_vec(p, u + hu) - res_vec(p, u - hu)) / (2 * hu)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(30):
-            pn = p + scale * step[0]
-            un = u + scale * step[1]
-            if P_BOX[0] <= pn <= P_BOX[1] and U_BOX[0] <= un <= U_BOX[1]:
-                rn = res_vec(pn, un)
-                if float(np.linalg.norm(rn)) < norm:
-                    p, u, r = pn, un, rn
-                    improved = True
-                    break
-            scale /= 2.0
-        steps += 1
-        if not improved:
-            break
-    return p, u, steps
-
-
-def _p_eliminating_rm(u: float, t: float) -> float:
-    """p solving the radial residual at given u (the residual is linear in p)."""
-    g = specfun.gamma_upper_3half(u)
-    s = math.sqrt(u) * math.exp(-u)
-    return (g - s) / (g + (t / math.pi - 1.0) * s)
-
-
-def solve_stationary_system(
-    t: float,
-    residual_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Solve both stationarity residuals for (p*, u*) at interference constant t.
-
-    Strategy: coarse grid scan of the residual norm for a Newton starting
-    point, damped Newton on the 2-D system, and - if Newton stalls - a
-    bracketing fallback that eliminates p through the radial residual
-    (linear in p) and solves the remaining scalar equation in u. Raises
-    RootFindError with a residual sign map when no root exists in the box,
-    e.g. for t barely above pi where u* escapes past the box edge.
-    """
-    if t <= math.pi:
-        raise RootFindError(f"stationarity system requires t > pi, got t={t:.6g}")
-
-    # coarse scan for a starting point
-    ps = np.linspace(0.02, 0.48, 24)
-    us = np.geomspace(1e-3, U_BOX[1], 40)
-    best = None
-    sign_rows = []
-    for u in us:
-        row = []
-        for p in ps:
-            r = analytic.stationarity_residuals(p, u, t)
-            norm = math.hypot(r.res_rm, r.res_p)
-            row.append((np.sign(r.res_rm), np.sign(r.res_p)))
-            if best is None or norm < best[0]:
-                best = (norm, p, u)
-        sign_rows.append(row)
-
-    p, u, _ = _newton_refine(best[1], best[2], t)
-    r = analytic.stationarity_residuals(p, u, t)
-    if math.hypot(r.res_rm, r.res_p) >= residual_tol:
-        # fallback: eliminate p, bracket the scalar residual in u
-        def g(u_: float) -> float:
-            p_ = _p_eliminating_rm(u_, t)
-            if not (0.0 < p_ < 1.0):
-                return math.nan
-            return analytic.stationarity_residuals(p_, u_, t).res_p
-
-        grid = np.geomspace(1e-4, U_BOX[1], 400)
-        vals = np.array([g(x) for x in grid])
-        bracket = None
-        for i in range(len(grid) - 1):
-            if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0:
-                bracket = (grid[i], grid[i + 1])
-                break
-        if bracket is None:
-            raise RootFindError(
-                f"no stationary point in the (p, u) box for t={t:.6g}",
-                sign_map={"p_grid": ps, "u_grid": us, "signs": sign_rows},
-            )
-        u = _sciopt.brentq(g, *bracket, xtol=1e-15, rtol=8.9e-16)
-        p = _p_eliminating_rm(u, t)
-        p, u, _ = _newton_refine(p, u, t)
-        r = analytic.stationarity_residuals(p, u, t)
-        if math.hypot(r.res_rm, r.res_p) >= residual_tol:
-            raise RootFindError(
-                f"stationary-system residuals stuck at "
-                f"({r.res_rm:.3g}, {r.res_p:.3g}) for t={t:.6g}",
-                sign_map={"p_grid": ps, "u_grid": us, "signs": sign_rows},
-            )
-    return p, u
+    t_eff = effective_interference_constant(params, variant)
+    p, tau = params.p, t_eff / math.pi
+    u, iterations, converged = _ascent_root(lambda x: _radial_slope(x, p, tau))
+    return _result(params, variant, t_eff, p, u, iterations, converged, fixed_p=True)
 
 
 def optimize_joint(
     params: NetworkParams,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-    residual_tol: float = 1e-8,
-    max_rounds: int = 200,
 ) -> OptimizationResult:
     """Jointly optimize (p, r_m) for the given variant.
 
-    Coordinate ascent (golden section per axis) locates the optimum, a
-    Nelder-Mead simplex polishes it, and for the directional variant a
-    short damped Newton on the stationarity residuals certifies it; the
-    Newton step moves the point by less than ~1e-5, so the objective-driven
-    stages already agree with the residual system to that level. converged
-    requires residuals below residual_tol (directional) or a successful
-    simplex polish (omnidirectional).
+    The stationary point at the variant's t_eff, then r_m* = sqrt(u*/k).
+    The starting p and r_m in ``params`` are not used.
     """
     params.validate()
-    f = _objective(params, variant)
-
-    # coordinate ascent
-    p, rm = min(max(params.p, P_BOX[0]), P_BOX[1]), max(params.r_m, 0.0)
-    iterations = 0
-    for _ in range(max_rounds):
-        hi = _rm_search_limit(params, p, variant)
-        rm_new, _ = maximize_scalar(lambda r: f(p, r), 0.0, max(hi, 2 * rm), tol=1e-11)
-        p_new, _ = maximize_scalar(lambda q: f(q, rm_new), *P_BOX, tol=1e-11)
-        iterations += 1
-        if abs(p_new - p) < 1e-9 and abs(rm_new - rm) < 1e-9:
-            p, rm = p_new, rm_new
-            break
-        p, rm = p_new, rm_new
-
-    # simplex polish
-    nm = _sciopt.minimize(
-        lambda z: -f(min(max(z[0], P_BOX[0]), P_BOX[1]), abs(z[1])),
-        x0=[p, rm],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 4000},
-    )
-    p = min(max(float(nm.x[0]), P_BOX[0]), P_BOX[1])
-    rm = abs(float(nm.x[1]))
-    iterations += int(nm.nit)
-
-    res_rm = res_p = None
-    if variant is ProtocolVariant.DIRECTIONAL:
-        t = spatial_interference_constant(params.alpha, params.beta)
-        k = radial_decay_rate(dataclasses.replace(params, p=p))
-        p, u, steps = _newton_refine(p, max(k * rm * rm, U_BOX[0]), t)
-        iterations += steps
-        k = radial_decay_rate(dataclasses.replace(params, p=p))
-        rm = math.sqrt(u / k)
-        r = analytic.stationarity_residuals(p, u, t)
-        res_rm, res_p = r.res_rm, r.res_p
-        converged = math.hypot(res_rm, res_p) < residual_tol
-    else:
-        converged = bool(nm.success)
-
-    return OptimizationResult(
-        p_star=p,
-        rm_star=rm,
-        objective=f(p, rm),
-        iterations=iterations,
-        converged=converged,
-        tolerance_used=residual_tol,
-        residual_rm=res_rm,
-        residual_p=res_p,
-    )
+    t_eff = effective_interference_constant(params, variant)
+    p, u, iterations, converged = _stationary_point(t_eff)
+    return _result(params, variant, t_eff, p, u, iterations, converged, fixed_p=False)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ stationarity residuals) reduces to three primitives:
   - the upper incomplete gamma function at shape 3/2,
   - semi-infinite quadrature for the independent numerical cross-checks.
 
-Only shape 3/2 is provided (plus the elementary shapes 1 and 2 that appear
+Only shape 3/2 is provided (plus shape 1/2, which solves the radial
+optimality condition for p, and the elementary shapes 1 and 2 that appear
 in the two-sided bound); this is not a general incomplete-gamma library.
 """
 
@@ -65,16 +66,28 @@ def gamma_upper_3half(x: float) -> float:
     return GAMMA_3HALF * math.erfc(s) + s * math.exp(-x)
 
 
+def gamma_upper_half_scaled(x: float) -> float:
+    """exp(x) * Gamma(1/2, x) = sqrt(pi) * erfcx(sqrt(x)) for any x >= 0.
+
+    Decays like 1/sqrt(x), with full relative precision: it is the
+    difference exp(x)*Gamma(3/2, x) - sqrt(x) (times 2) without the
+    cancellation of subtracting the two.
+    """
+    if x < 0:
+        raise DomainError(f"gamma_upper_half_scaled requires x >= 0, got {x}")
+    return SQRT_PI * float(_special.erfcx(math.sqrt(x)))
+
+
 def gamma_upper_3half_scaled(x: float) -> float:
     """exp(x) * Gamma(3/2, x), computed without overflow for any x >= 0.
 
-    The scaled form sqrt(pi)/2 * erfcx(sqrt(x)) + sqrt(x) stays O(sqrt(x))
-    as x grows, where the unscaled product would overflow past x ~ 709.
+    By Gamma(3/2, x) = Gamma(1/2, x)/2 + sqrt(x)*exp(-x), the scaled form
+    sqrt(pi)/2 * erfcx(sqrt(x)) + sqrt(x) stays O(sqrt(x)) as x grows,
+    where the unscaled product would overflow past x ~ 709.
     """
     if x < 0:
         raise DomainError(f"gamma_upper_3half_scaled requires x >= 0, got {x}")
-    s = math.sqrt(x)
-    return GAMMA_3HALF * float(_special.erfcx(s)) + s
+    return gamma_upper_half_scaled(x) / 2.0 + math.sqrt(x)
 
 
 def gamma_upper_one(x: float) -> float:

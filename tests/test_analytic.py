@@ -277,7 +277,32 @@ def test_residual_domain_errors():
     with pytest.raises(DomainError):
         analytic.stationarity_residuals(0.1, -0.1, T_BASE)
     with pytest.raises(DomainError):
-        analytic.stationarity_residuals(0.1, 0.1, math.pi)
+        analytic.stationarity_residuals(0.1, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.pi, 2.0])
+def test_residuals_vanish_at_grid_optimum_for_t_up_to_pi(t):
+    # res_p carries the factor (t - pi) instead of dividing by it, so the
+    # first-order conditions still locate the optimum at t <= pi, where the
+    # optimal p climbs past 0.45 (past 1/2 at t = 2); the optimum here
+    # comes from a plain grid
+    params = _with(BASE, beta=(t / spatial_interference_constant(3.0, 1.0)) ** 1.5)
+    assert spatial_interference_constant(3.0, params.beta) == pytest.approx(t, rel=1e-12)
+    ps, rs = np.linspace(0.05, 0.95, 91), np.linspace(0.05, 2.0, 79)
+    for _ in range(5):
+        values = np.array([
+            [analytic.expected_density_closed(_with(params, p=p, r_m=r)) for r in rs]
+            for p in ps
+        ])
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        p_g, r_g = float(ps[i]), float(rs[j])
+        ps = np.linspace(ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)], 21)
+        rs = np.linspace(rs[max(j - 1, 0)], rs[min(j + 1, len(rs) - 1)], 21)
+    assert p_g > 0.45
+    u = radial_decay_rate(_with(params, p=p_g)) * r_g**2
+    res = analytic.stationarity_residuals(p_g, u, t)
+    assert abs(res.res_rm) < 1e-5
+    assert abs(res.res_p) < 1e-4
 
 
 # ---------------------------------------------------------------------

@@ -239,6 +239,36 @@ def test_optimize_rm_mode_matches_module(tmp_path):
     assert row["converged"] == "1"
 
 
+def test_optimize_alpha_edge_is_certified(tmp_path):
+    # alpha barely above 2 drives t to ~6e8 and p* down to ~1e-8
+    rc = cli.main(["optimize", "--alpha", "2.0000001", "--outdir", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_table(tmp_path / "optimize.csv")
+    row = rows[0]
+    assert row["status"] == "ok"
+    assert row["converged"] == "1"
+    assert float(row["p_star"]) == pytest.approx(9.25e-9, rel=1e-3)
+
+
+def test_uncertified_optimum_is_an_error_row(tmp_path, monkeypatch):
+    real = optimize.optimize_joint
+
+    def not_converged(*args):
+        return dataclasses.replace(real(*args), converged=False)
+
+    monkeypatch.setattr(optimize, "optimize_joint", not_converged)
+    for argv, table in [
+        (["optimize"], "optimize.csv"),
+        (["fig34", "--phi-grid", "1.0"], "fig3_fig4.csv"),
+        (["fig5", "--phi-grid", "1.0"], "fig5.csv"),
+        (["sweep", "--param", "p", "--values", "0.1", "--optimize"], "sweep.csv"),
+    ]:
+        outdir = tmp_path / table
+        assert cli.main(argv + ["--outdir", str(outdir)]) == 3
+        _, rows = read_table(outdir / table)
+        assert rows[0]["status"].startswith("error: OptimizationError: optimum not certified")
+
+
 # ---------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------
@@ -326,6 +356,25 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
     rc = cli.main(["--from-manifest", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "nope.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([1, 2], "not a JSON object"),
+        ({"command": "fig2", "params": {}}, "settings"),
+        ({"params": {}, "settings": {}}, "command"),
+        ({"command": ["fig2"], "params": {}, "settings": {}}, "unknown command"),
+        ({"command": "fig2", "params": [], "settings": {}}, "params"),
+        ({"command": "fig2", "params": {"lambda": 1.0}, "settings": {}}, "missing config key"),
+    ],
+)
+def test_malformed_manifest_is_a_usage_error(tmp_path, capsys, doc, named):
+    path = tmp_path / "bad_manifest.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["--from-manifest", str(path), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

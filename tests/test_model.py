@@ -202,7 +202,7 @@ def test_config_text_roundtrip():
 
 def test_exact_mapping_roundtrip_is_bitwise():
     params = NetworkParams(lam=0.7, alpha=3.3, beta=7.3, p=0.21, phi=2.2, mu=1.5, r_m=0.4)
-    back = NetworkParams.from_exact_mapping(params.to_exact_mapping())
+    back = NetworkParams.from_mapping(params.to_exact_mapping())
     assert back == params
 
 

@@ -1,14 +1,13 @@
-"""Optimizer routes against each other and against frozen anchors.
+"""The optimizer against brute-force grids, residual roots and frozen anchors.
 
-Oracle policy: the three routes (derivative-free search on the closed
-form, joint coordinate ascent with Newton certification, and pure
-root-finding on the scale-free stationarity residuals) are independent by
-construction, so each one serves as the oracle for the others. Scalar
-search is additionally checked against functions with hand-known argmaxes.
+Oracle policy: the optimizer is one root search on the scale-free
+stationarity system, so its oracle is a brute-force nested grid on the
+closed form (_grid_best), which no reported optimum may trail by more
+than 1e-6 relative, plus a plain brentq on the radial residual.
 
 Frozen anchors at lam=1, alpha=3, beta=10 (t = 35.26505141002736),
-obtained from the residual system at 1e-13 tolerance and confirmed by the
-objective routes during development:
+obtained from the residual system at 1e-13 tolerance and confirmed by
+searches on the objective itself:
     p*  = 0.1188294545528762
     u*  = 0.15570190781695342
     rm* = 0.2991641893786304   (phi = pi/2)
@@ -18,11 +17,12 @@ objective routes during development:
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from sectorrelay import analytic, optimize
-from sectorrelay.errors import OptimizationError, ParameterError, RootFindError
+from sectorrelay.errors import ParameterError, RootFindError
 from sectorrelay.model import (
     NetworkParams,
     ProtocolVariant,
@@ -42,47 +42,37 @@ def _with(params, **kw):
     return dataclasses.replace(params, **kw)
 
 
-# ---------------------------------------------------------------------
-# scalar search
-# ---------------------------------------------------------------------
-
-def test_maximize_scalar_on_sine():
-    x, val = optimize.maximize_scalar(math.sin, 0.0, math.pi)
-    # location accuracy is limited to ~sqrt(eps) by flatness at the peak
-    assert x == pytest.approx(math.pi / 2, abs=5e-8)
-    assert val == pytest.approx(1.0, abs=1e-15)
+#: Nested closed-form reference grid: log-spaced (p, r_m), then
+#: ZOOM_LEVELS zooms onto the cells next to the best point.
+P_GRID = np.geomspace(1e-4, 1.0 - 1e-4, 48)
+RM_GRID = np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 48)))
+ZOOM_LEVELS = 4
+ZOOM_POINTS = 17
 
 
-def test_maximize_scalar_known_argmax():
-    # x * exp(-x) peaks exactly at x = 1
-    x, val = optimize.maximize_scalar(lambda x: x * math.exp(-x), 0.0, 6.0)
-    assert x == pytest.approx(1.0, abs=5e-8)
-    assert val == pytest.approx(1.0 / math.e, rel=1e-12)
+def _zoom(grid, i):
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    return np.geomspace(lo, hi, ZOOM_POINTS) if lo > 0 else np.linspace(lo, hi, ZOOM_POINTS)
 
 
-def test_maximize_scalar_tiny_scale_objective():
-    # uniformly tiny values must not be lumped into one big tie
-    x, _ = optimize.maximize_scalar(lambda x: 1e-18 * math.sin(x), 0.0, math.pi)
-    assert x == pytest.approx(math.pi / 2, abs=1e-6)
-
-
-def test_maximize_scalar_tie_breaks_toward_smaller_x():
-    # two exactly level plateaus; the left one must win
-    def twin_plateau(x):
-        return 1.0 if abs(abs(x) - 1.0) <= 0.25 else 0.0
-
-    x, val = optimize.maximize_scalar(twin_plateau, -2.0, 2.0)
-    assert val == 1.0
-    assert -1.3 < x < -0.7
-
-
-def test_maximize_scalar_rejects_nan_and_bad_bracket():
-    with pytest.raises(OptimizationError, match="NaN"):
-        optimize.maximize_scalar(lambda x: math.nan, 0.0, 1.0)
-    with pytest.raises(OptimizationError, match="bracket"):
-        optimize.maximize_scalar(math.sin, 1.0, 1.0)
-    with pytest.raises(OptimizationError, match="bracket"):
-        optimize.maximize_scalar(math.sin, 2.0, 1.0)
+def _grid_best(params, variant=ProtocolVariant.DIRECTIONAL, fixed_p=False):
+    """Largest closed-form value on the nested (p, r_m) grid (r_m only if fixed_p)."""
+    ps = np.array([params.p]) if fixed_p else P_GRID
+    rs = RM_GRID
+    best = -math.inf
+    for _ in range(ZOOM_LEVELS):
+        values = np.array([
+            [
+                analytic.expected_density_closed(_with(params, p=float(p), r_m=float(r)), variant)
+                for r in rs
+            ]
+            for p in ps
+        ])
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        best = max(best, float(values[i, j]))
+        ps = ps if fixed_p else _zoom(ps, i)
+        rs = _zoom(rs, j)
+    return best
 
 
 # ---------------------------------------------------------------------
@@ -128,6 +118,20 @@ def test_optimize_rm_extends_bracket_for_slow_decay():
     assert result.rm_star * math.sqrt(k) > 6.0
     assert result.converged
     assert abs(result.residual_rm) < 1e-8
+
+
+def test_optimize_rm_omni_matches_residual_root():
+    # the baseline's radial residual is the directional one at t_eff = 2*pi*t/phi
+    params = _with(BASE, p=0.1)
+    result = optimize.optimize_rm(params, ProtocolVariant.OMNIDIRECTIONAL)
+    t_eff = spatial_interference_constant(3.0, 10.0) * 2 * math.pi / params.phi
+    k = radial_decay_rate(params, t_eff)
+    oracle = brentq(
+        lambda r: analytic.stationarity_residuals(0.1, k * r * r, t_eff).res_rm,
+        1e-9, 20.0 / math.sqrt(k), xtol=1e-15, rtol=8.9e-16,
+    )
+    assert result.converged
+    assert result.rm_star == pytest.approx(oracle, rel=1e-12)
 
 
 def test_optimize_rm_validates_parameters():
@@ -180,6 +184,31 @@ def test_optimum_scales_as_sqrt_density():
     assert spread <= 1e-6
 
 
+@pytest.mark.parametrize("variant", list(ProtocolVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("alpha", [2.1, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("beta_db", [-15.0, -10.0, -5.0, 0.0, 10.0, 20.0])
+def test_optima_never_beaten_by_brute_force_grid(beta_db, alpha, variant):
+    params = _with(BASE, alpha=alpha, beta=10.0 ** (beta_db / 10.0))
+    joint = optimize.optimize_joint(params, variant)
+    assert joint.converged
+    assert 0.0 < joint.p_star < 1.0
+    assert _grid_best(params, variant) <= joint.objective * (1.0 + 1e-6)
+    radial = optimize.optimize_rm(params, variant)
+    assert radial.converged
+    assert _grid_best(params, variant, fixed_p=True) <= radial.objective * (1.0 + 1e-6)
+
+
+def test_uncertifiable_alpha_edge_now_certifies():
+    # alpha barely above 2 drives t to ~6e8 and p* down to ~1e-8
+    params = _with(BASE, alpha=2.0000001)
+    result = optimize.optimize_joint(params)
+    assert result.converged
+    assert result.p_star == pytest.approx(9.25e-9, rel=1e-3)
+    k = radial_decay_rate(_with(params, p=result.p_star))
+    assert k * result.rm_star**2 == pytest.approx(0.1151, rel=1e-3)
+    assert _grid_best(params) <= result.objective * (1.0 + 1e-6)
+
+
 # ---------------------------------------------------------------------
 # scale-free stationarity system
 # ---------------------------------------------------------------------
@@ -212,11 +241,49 @@ def test_stationary_system_near_degenerate_threshold():
     assert math.hypot(res.res_rm, res.res_p) < 1e-10
 
 
-def test_stationary_system_rejects_subcritical_t():
-    with pytest.raises(RootFindError):
-        optimize.solve_stationary_system(math.pi)
-    with pytest.raises(RootFindError):
-        optimize.solve_stationary_system(2.0)
+def _params_with_t(t, **kw):
+    """BASE with beta chosen so that the interference constant is t (alpha = 3)."""
+    beta = (t / spatial_interference_constant(3.0, 1.0)) ** 1.5
+    return _with(BASE, beta=beta, **kw)
+
+
+@pytest.mark.parametrize("t", [math.pi, 2.0, 0.3])
+def test_stationary_system_at_subcritical_t_matches_grid(t):
+    # t <= pi is admissible (weak thresholds); the optimum then has p >= 1/2
+    p, u = optimize.solve_stationary_system(t)
+    res = analytic.stationarity_residuals(p, u, t)
+    assert math.hypot(res.res_rm, res.res_p) < 1e-12
+    params = _params_with_t(t)
+    assert spatial_interference_constant(params.alpha, params.beta) == pytest.approx(t, rel=1e-12)
+    rm = math.sqrt(u / radial_decay_rate(_with(params, p=p)))
+    best = analytic.expected_density_closed(_with(params, p=p, r_m=rm))
+    assert _grid_best(params) <= best * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(math.nextafter(2.0, 3.0), 1e30), (3.0, 1e-30), (1e6, 1.0)],
+    ids=["t-huge", "t-tiny", "alpha-huge"],
+)
+def test_extreme_admissible_params_certify(alpha, beta):
+    for p in [1e-9, 0.5, 1.0 - 1e-9]:
+        for variant in ProtocolVariant:
+            params = _with(BASE, alpha=alpha, beta=beta, p=p)
+            joint = optimize.optimize_joint(params, variant)
+            radial = optimize.optimize_rm(params, variant)
+            assert joint.converged and radial.converged
+            assert 0.0 < joint.p_star < 1.0
+            assert joint.rm_star > 0.0 and radial.rm_star > 0.0
+            assert math.isfinite(joint.objective) and math.isfinite(radial.objective)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_missing_bracket_raises_root_find_error(sign):
+    # a slope that never changes sign: halving reaches 0 or doubling reaches inf
+    with pytest.raises(RootFindError) as exc:
+        optimize._ascent_root(lambda u: sign)
+    assert len(exc.value.sign_map["u"]) > 1000
+    assert set(exc.value.sign_map["slope"]) == {sign}
 
 
 def test_root_find_error_carries_sign_map():

@@ -109,6 +109,16 @@ def test_gamma_scaled_form_consistent():
         assert specfun.gamma_upper_3half_scaled(x) == pytest.approx(unscaled, rel=1e-12)
 
 
+def test_gamma_half_scaled_against_mpmath():
+    # exp(x)*Gamma(1/2, x) keeps full relative precision where
+    # exp(x)*Gamma(3/2, x) - sqrt(x) would cancel to nothing
+    for x in [0.0, 1e-8, 0.1, 1.0, 10.0, 1e4, 1e12]:
+        oracle = float(mpmath.exp(x) * mpmath.gammainc(0.5, x))
+        assert specfun.gamma_upper_half_scaled(x) == pytest.approx(oracle, rel=1e-13)
+    with pytest.raises(DomainError):
+        specfun.gamma_upper_half_scaled(-1.0)
+
+
 def test_gamma_scaled_form_survives_huge_argument():
     # exp(x)*Gamma(3/2, x) ~ sqrt(x) + 1/(2 sqrt(x)) as x -> inf; the
     # unscaled product overflows near x = 709 but the scaled form must not
