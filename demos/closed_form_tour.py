@@ -12,7 +12,7 @@ import numpy as np
 from sectorrelay import analytic
 from sectorrelay.model import (
     NetworkParams,
-    derive_constants,
+    radial_decay_rate,
     spatial_interference_constant,
 )
 
@@ -25,11 +25,12 @@ params = NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=0.12, phi=math.pi / 2, r
 # the outage exponent of a unit-density field of interferers at unit
 # link distance. For alpha=3, beta=10 dB it is ~35.3 -- interference is
 # expensive, which is why the optimal transmission probability is small.
+# The radial decay rate k = (lambda*phi/2)*(p*t/pi + 1 - p) folds t and
+# the relay-void rate into the decay of the progress integrand.
 print("== spatial interference constant ==")
 t = spatial_interference_constant(params.alpha, params.beta)
 print(f"t(alpha={params.alpha}, beta={params.beta}) = {t:.6f}")
-bundle = derive_constants(params)
-print(f"derived constants: {bundle}")
+print(f"radial decay rate k = {radial_decay_rate(params, t):.6f}")
 print()
 
 # =====================================================================

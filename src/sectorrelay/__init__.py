@@ -17,128 +17,18 @@ comparison baseline.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateSampleError,
-    DomainError,
-    OptimizationError,
-    ParameterError,
-    QuadratureError,
-    RootFindError,
-    VacuousBoundError,
-)
-from .model import (
-    CONFIG_KEYS,
-    DerivedConstants,
-    NetworkParams,
-    ProtocolVariant,
-    derive_constants,
-    parse_config_mapping,
-    radial_decay_rate,
-    spatial_interference_constant,
-)
-from .analytic import (
-    StationarityResiduals,
-    expected_density_closed,
-    expected_density_numeric,
-    interferer_density,
-    log_expected_density,
-    omni_expected_density,
-    relay_distance_cdf,
-    relay_distance_pdf,
-    rm_from_p,
-    rm_quadratic_roots,
-    rm_upper_bound,
-    stationarity_residuals,
-    success_probability,
-)
-from .optimize import (
-    ConstancyReport,
-    ConstancyRow,
-    OptimizationResult,
-    optimize_joint,
-    optimize_rm,
-    p_constancy_report,
-    solve_stationary_system,
-)
-from .simulate import (
-    PointConfiguration,
-    ProgressEstimate,
-    SimConfig,
-    TrialSample,
-    assign_roles,
-    collect_trials,
-    estimate_density_of_progress,
-    guard_sensitivity,
-    run_trial,
-    sample_ppp,
-    sample_relay_distances,
-    sector_covers,
-    select_relay,
-    simulate_link_success,
-    sir_at,
-    substream,
-    summarize_trials,
-    validate_for_estimation,
-)
+from .model import NetworkParams, ProtocolVariant
+from .analytic import expected_density_closed, success_probability
+from .optimize import optimize_joint
+from .simulate import SimConfig, estimate_density_of_progress
 
 __all__ = [
     "__version__",
-    # errors
-    "DegenerateSampleError",
-    "DomainError",
-    "OptimizationError",
-    "ParameterError",
-    "QuadratureError",
-    "RootFindError",
-    "VacuousBoundError",
-    # model
-    "CONFIG_KEYS",
-    "DerivedConstants",
     "NetworkParams",
     "ProtocolVariant",
-    "derive_constants",
-    "parse_config_mapping",
-    "radial_decay_rate",
-    "spatial_interference_constant",
-    # analytic
-    "StationarityResiduals",
-    "expected_density_closed",
-    "expected_density_numeric",
-    "interferer_density",
-    "log_expected_density",
-    "omni_expected_density",
-    "relay_distance_cdf",
-    "relay_distance_pdf",
-    "rm_from_p",
-    "rm_quadratic_roots",
-    "rm_upper_bound",
-    "stationarity_residuals",
-    "success_probability",
-    # optimize
-    "ConstancyReport",
-    "ConstancyRow",
-    "OptimizationResult",
-    "optimize_joint",
-    "optimize_rm",
-    "p_constancy_report",
-    "solve_stationary_system",
-    # simulate
-    "PointConfiguration",
-    "ProgressEstimate",
     "SimConfig",
-    "TrialSample",
-    "assign_roles",
-    "collect_trials",
     "estimate_density_of_progress",
-    "guard_sensitivity",
-    "run_trial",
-    "sample_ppp",
-    "sample_relay_distances",
-    "sector_covers",
-    "select_relay",
-    "simulate_link_success",
-    "sir_at",
-    "substream",
-    "summarize_trials",
-    "validate_for_estimation",
+    "expected_density_closed",
+    "optimize_joint",
+    "success_probability",
 ]

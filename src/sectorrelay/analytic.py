@@ -183,7 +183,6 @@ def expected_density_closed(
 def expected_density_numeric(
     params: NetworkParams,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Quadrature twin of expected_density_closed.
 
@@ -203,19 +202,8 @@ def expected_density_numeric(
             * relay_distance_pdf(params, x)
         )
 
-    quad = specfun.integrate_semi_infinite(integrand, params.r_m, rel_tol=rel_tol)
+    quad = specfun.integrate_semi_infinite(integrand, params.r_m)
     return params.p * params.lam * angular_mean * quad.value
-
-
-def omni_expected_density(params: NetworkParams) -> float:
-    """Omnidirectional-baseline expected density of progress.
-
-    Same selection geometry, but every transmitter interferes, so the
-    combined decay rate becomes k_omni = p*lambda*t + lambda*(1-p)*phi/2.
-    Never exceeds the directional value at matched parameters because
-    k_omni >= k with Gamma(3/2, k r^2)*k^(-3/2) decreasing in k.
-    """
-    return expected_density_closed(params, ProtocolVariant.OMNIDIRECTIONAL)
 
 
 # =====================================================================

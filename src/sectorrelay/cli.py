@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -78,13 +79,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, schema: str, header: tuple, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema: {schema} v{SCHEMA_VERSION}\n")
+def _write_csv(outdir: Path, name: str, header, rows) -> dict:
+    """Write ``<name>.csv`` under its schema line; return its manifest entry."""
+    schema = f"sectorrelay.{name} v{SCHEMA_VERSION}"
+    with open(outdir / f"{name}.csv", "w", newline="") as fh:
+        fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return {"file": f"{name}.csv", "schema": schema}
 
 
 def _grid_spec(text: str) -> list[float]:
@@ -109,17 +113,26 @@ def _grid_spec(text: str) -> list[float]:
     return values
 
 
-def _map_ordered(fn, jobs, workers: int) -> list:
-    """Apply fn to jobs, preserving job order, optionally across processes."""
+def _guarded_row(fn, width: int, job) -> tuple:
+    """fn(job), or the failed row: the job's key (its first item), nan up
+    to the table width and an error status. Module-level, so that process
+    pools can pickle it."""
+    try:
+        return fn(job)
+    except Exception as exc:
+        status = f"error: {type(exc).__name__}: {exc}"
+        return (job[0],) + (math.nan,) * (width - 2) + (status,)
+
+
+def _map_rows(fn, jobs, header, workers: int) -> list:
+    """One row per job, in job order, optionally across processes; a job
+    that raises becomes a failed row as wide as the header."""
+    row = functools.partial(_guarded_row, fn, len(header))
     workers = simulate.worker_count(workers, len(jobs))
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return [row(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _status_from_exc(exc: Exception) -> str:
-    return f"error: {type(exc).__name__}: {exc}"
+        return list(pool.map(row, jobs))
 
 
 def _certified_status(*results) -> str:
@@ -192,97 +205,104 @@ def _resolve_outdir(args) -> Path:
 # =====================================================================
 
 def _row_fig2(job) -> tuple:
-    params, phi = job
+    phi, params = job
+    trial = dataclasses.replace(params, phi=phi)
+    best = optimize.optimize_rm(trial)
+    rm_num = best.rm_star
+    status = _certified_status(best)
     try:
-        trial = dataclasses.replace(params, phi=phi)
-        best = optimize.optimize_rm(trial)
-        rm_num = best.rm_star
-        status = _certified_status(best)
-        try:
-            printed = analytic.rm_upper_bound(trial, "standard")
-        except VacuousBoundError:
-            # no real root: the quadratic constrains nothing, bound = +inf
-            printed = math.inf
-            status += " (printed bound vacuous)"
-        derived = analytic.rm_upper_bound(trial, "alternate")
-        return (
-            phi,
-            rm_num,
-            derived,
-            printed,
-            int(derived >= rm_num),
-            int(printed >= rm_num),
-            status,
-        )
-    except Exception as exc:
-        return (phi, math.nan, math.nan, math.nan, 0, 0, _status_from_exc(exc))
+        printed = analytic.rm_upper_bound(trial, "standard")
+    except VacuousBoundError:
+        # no real root: the quadratic constrains nothing, bound = +inf
+        printed = math.inf
+        status += " (printed bound vacuous)"
+    derived = analytic.rm_upper_bound(trial, "alternate")
+    return (
+        phi,
+        rm_num,
+        derived,
+        printed,
+        int(derived >= rm_num),
+        int(printed >= rm_num),
+        status,
+    )
 
 
 def _row_fig34(job) -> tuple:
-    params, phi = job
+    phi, params = job
+    trial = dataclasses.replace(params, phi=phi)
+    joint = optimize.optimize_joint(trial)
+    status = _certified_status(joint)
     try:
-        trial = dataclasses.replace(params, phi=phi)
-        joint = optimize.optimize_joint(trial)
         rm_closed = analytic.rm_from_p(trial, joint.p_star)
-        return (
-            phi,
-            joint.p_star,
-            joint.rm_star,
-            rm_closed,
-            int(joint.converged),
-            _certified_status(joint),
-        )
-    except Exception as exc:
-        return (phi, math.nan, math.nan, math.nan, 0, _status_from_exc(exc))
+    except DomainError as exc:
+        # the closed form holds only for t > pi and p < 1/2; the optimum stands
+        rm_closed = math.nan
+        status += f" (closed-form r_m undefined: {exc})"
+    return (phi, joint.p_star, joint.rm_star, rm_closed, int(joint.converged), status)
 
 
 def _row_fig5(job) -> tuple:
-    params, phi, sim_settings = job
-    try:
-        trial = dataclasses.replace(params, phi=phi)
-        best_dir = optimize.optimize_joint(trial, ProtocolVariant.DIRECTIONAL)
-        best_omni = optimize.optimize_joint(trial, ProtocolVariant.OMNIDIRECTIONAL)
-        row = [phi, best_dir.objective, best_omni.objective]
-        if sim_settings is not None:
-            for best, variant in (
-                (best_dir, ProtocolVariant.DIRECTIONAL),
-                (best_omni, ProtocolVariant.OMNIDIRECTIONAL),
-            ):
-                at_opt = dataclasses.replace(trial, p=best.p_star, r_m=best.rm_star)
-                sim = simulate.SimConfig.for_params(
-                    at_opt, sim_settings["trials"], sim_settings["seed"]
-                )
-                est = simulate.estimate_density_of_progress(
-                    at_opt, sim, variant, workers=sim_settings["workers"]
-                )
-                row += [est.mean, est.std_error]
-        return tuple(row + [_certified_status(best_dir, best_omni)])
-    except Exception as exc:
-        width = 3 + (4 if sim_settings is not None else 0)
-        return (phi,) + (math.nan,) * (width - 1) + (_status_from_exc(exc),)
+    phi, params, sim_settings = job
+    trial = dataclasses.replace(params, phi=phi)
+    best_dir = optimize.optimize_joint(trial, ProtocolVariant.DIRECTIONAL)
+    best_omni = optimize.optimize_joint(trial, ProtocolVariant.OMNIDIRECTIONAL)
+    row = [phi, best_dir.objective, best_omni.objective]
+    if sim_settings is not None:
+        for best, variant in (
+            (best_dir, ProtocolVariant.DIRECTIONAL),
+            (best_omni, ProtocolVariant.OMNIDIRECTIONAL),
+        ):
+            at_opt = dataclasses.replace(trial, p=best.p_star, r_m=best.rm_star)
+            sim = simulate.SimConfig.for_params(
+                at_opt, sim_settings["trials"], sim_settings["seed"]
+            )
+            est = simulate.estimate_density_of_progress(
+                at_opt, sim, variant, workers=sim_settings["workers"]
+            )
+            row += [est.mean, est.std_error]
+    return tuple(row + [_certified_status(best_dir, best_omni)])
 
 
 def _row_sweep(job) -> tuple:
-    params, key, value, do_opt, scaling, variant_name = job
-    try:
-        mapping = params.to_exact_mapping()
-        if key == "beta_db":
-            mapping.pop("beta", None)
-        mapping[key] = value
-        trial = NetworkParams.from_mapping(mapping)
-        variant = ProtocolVariant(variant_name)
-        if do_opt:
-            best = optimize.optimize_joint(trial, variant)
-            row = [value, best.p_star, best.rm_star, best.objective]
-            if scaling:
-                row.append(best.objective / math.sqrt(trial.lam))
-            return tuple(row + [_certified_status(best)])
-        closed = analytic.expected_density_closed(trial, variant)
-        numeric = analytic.expected_density_numeric(trial, variant)
-        return (value, closed, numeric, "ok")
-    except Exception as exc:
-        width = (5 if scaling else 4) if do_opt else 3
-        return (value,) + (math.nan,) * (width - 1) + (_status_from_exc(exc),)
+    value, params, key, do_opt, scaling, variant_name = job
+    mapping = params.to_exact_mapping()
+    if key == "beta_db":
+        mapping.pop("beta", None)
+    mapping[key] = value
+    trial = NetworkParams.from_mapping(mapping)
+    variant = ProtocolVariant(variant_name)
+    if do_opt:
+        best = optimize.optimize_joint(trial, variant)
+        row = [value, best.p_star, best.rm_star, best.objective]
+        if scaling:
+            row.append(best.objective / math.sqrt(trial.lam))
+        return tuple(row + [_certified_status(best)])
+    closed = analytic.expected_density_closed(trial, variant)
+    numeric = analytic.expected_density_numeric(trial, variant)
+    return (value, closed, numeric, "ok")
+
+
+def _row_optimize(job) -> tuple:
+    mode, params, variant_name = job
+    variant = ProtocolVariant(variant_name)
+    if mode == "rm":
+        res = optimize.optimize_rm(params, variant)
+        p_star = params.p
+    else:
+        res = optimize.optimize_joint(params, variant)
+        p_star = res.p_star
+    return (
+        mode,
+        p_star,
+        res.rm_star,
+        res.objective,
+        res.residual_rm,
+        res.residual_p,
+        res.iterations,
+        int(res.converged),
+        _certified_status(res),
+    )
 
 
 # =====================================================================
@@ -293,8 +313,6 @@ def run_fig2(params: NetworkParams, settings: dict, outdir: Path):
     grid = settings["phi_grid"]
     if not grid:
         raise ParameterError(["empty phi grid"])
-    jobs = [(params, float(phi)) for phi in grid]
-    rows = _map_ordered(_row_fig2, jobs, settings["workers"])
     header = (
         "phi",
         "rm_numerical",
@@ -304,23 +322,21 @@ def run_fig2(params: NetworkParams, settings: dict, outdir: Path):
         "printed_bound_holds",
         "status",
     )
-    _write_csv(outdir / "fig2.csv", "sectorrelay.fig2", header, rows)
-    outputs = [{"file": "fig2.csv", "schema": f"sectorrelay.fig2 v{SCHEMA_VERSION}"}]
+    jobs = [(float(phi), params) for phi in grid]
+    rows = _map_rows(_row_fig2, jobs, header, settings["workers"])
     notes = [
         "bound columns: the printed variant (discriminant 4k^3 - 2kC^2) is the "
         "one that provably dominates the optimum; the derived variant "
         "(discriminant 4k^3 - kC^2) is reported for comparison and its "
         "violations are flagged in derived_bound_holds."
     ]
-    return outputs, notes, _errors_in(rows)
+    return [_write_csv(outdir, "fig2", header, rows)], notes, _errors_in(rows)
 
 
 def run_fig34(params: NetworkParams, settings: dict, outdir: Path):
     grid = settings["phi_grid"]
     if not grid:
         raise ParameterError(["empty phi grid"])
-    jobs = [(params, float(phi)) for phi in grid]
-    rows = _map_ordered(_row_fig34, jobs, settings["workers"])
     header = (
         "phi",
         "p_star",
@@ -329,11 +345,9 @@ def run_fig34(params: NetworkParams, settings: dict, outdir: Path):
         "converged",
         "status",
     )
-    _write_csv(outdir / "fig3_fig4.csv", "sectorrelay.fig3_fig4", header, rows)
-    outputs = [
-        {"file": "fig3_fig4.csv", "schema": f"sectorrelay.fig3_fig4 v{SCHEMA_VERSION}"}
-    ]
-    return outputs, [], _errors_in(rows)
+    jobs = [(float(phi), params) for phi in grid]
+    rows = _map_rows(_row_fig34, jobs, header, settings["workers"])
+    return [_write_csv(outdir, "fig3_fig4", header, rows)], [], _errors_in(rows)
 
 
 def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
@@ -341,18 +355,6 @@ def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
     if not grid:
         raise ParameterError(["empty phi grid"])
     simulate_rows = settings["simulate"]
-    sim_settings = None
-    jobs = []
-    for i, phi in enumerate(grid):
-        if simulate_rows:
-            sim_settings = {
-                "trials": settings["trials"],
-                "seed": settings["seed"] + i,
-                "workers": settings["workers"],
-            }
-        jobs.append((params, float(phi), sim_settings))
-    # simulation rows parallelize inside the estimator instead
-    rows = _map_ordered(_row_fig5, jobs, 1 if simulate_rows else settings["workers"])
     header = ["phi", "edp_directional_opt", "edp_omni_opt"]
     if simulate_rows:
         header += [
@@ -362,8 +364,18 @@ def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
             "sim_omni_std_error",
         ]
     header.append("status")
-    _write_csv(outdir / "fig5.csv", "sectorrelay.fig5", tuple(header), rows)
-    outputs = [{"file": "fig5.csv", "schema": f"sectorrelay.fig5 v{SCHEMA_VERSION}"}]
+    sim_settings = None
+    jobs = []
+    for i, phi in enumerate(grid):
+        if simulate_rows:
+            sim_settings = {
+                "trials": settings["trials"],
+                "seed": settings["seed"] + i,
+                "workers": settings["workers"],
+            }
+        jobs.append((float(phi), params, sim_settings))
+    # simulation rows parallelize inside the estimator instead
+    rows = _map_rows(_row_fig5, jobs, header, 1 if simulate_rows else settings["workers"])
     notes = []
     if any(abs(phi - 2.0 * math.pi) < 1e-12 for phi in grid):
         notes.append(
@@ -372,7 +384,7 @@ def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
             "coincide (and the average forward progress collapses to zero, up to "
             "the rounding of sin(phi/2))."
         )
-    return outputs, notes, _errors_in(rows)
+    return [_write_csv(outdir, "fig5", header, rows)], notes, _errors_in(rows)
 
 
 def run_sweep(params: NetworkParams, settings: dict, outdir: Path):
@@ -385,11 +397,6 @@ def run_sweep(params: NetworkParams, settings: dict, outdir: Path):
             [f"unknown sweep key: {key} (choose from {', '.join(SWEEPABLE_KEYS)})"]
         )
     do_opt = settings["optimize"] or settings["scaling"]
-    jobs = [
-        (params, key, float(v), do_opt, settings["scaling"], settings["variant"])
-        for v in values
-    ]
-    rows = _map_ordered(_row_sweep, jobs, settings["workers"])
     if do_opt:
         header = [key, "p_star", "rm_star", "edp_opt"]
         if settings["scaling"]:
@@ -397,33 +404,15 @@ def run_sweep(params: NetworkParams, settings: dict, outdir: Path):
     else:
         header = [key, "edp_closed", "edp_numeric"]
     header.append("status")
-    _write_csv(outdir / "sweep.csv", "sectorrelay.sweep", tuple(header), rows)
-    outputs = [{"file": "sweep.csv", "schema": f"sectorrelay.sweep v{SCHEMA_VERSION}"}]
-    return outputs, [], _errors_in(rows)
+    jobs = [
+        (float(v), params, key, do_opt, settings["scaling"], settings["variant"])
+        for v in values
+    ]
+    rows = _map_rows(_row_sweep, jobs, header, settings["workers"])
+    return [_write_csv(outdir, "sweep", header, rows)], [], _errors_in(rows)
 
 
 def run_optimize(params: NetworkParams, settings: dict, outdir: Path):
-    variant = ProtocolVariant(settings["variant"])
-    try:
-        if settings["mode"] == "rm":
-            res = optimize.optimize_rm(params, variant)
-            p_star = params.p
-        else:
-            res = optimize.optimize_joint(params, variant)
-            p_star = res.p_star
-        row = (
-            settings["mode"],
-            p_star,
-            res.rm_star,
-            res.objective,
-            res.residual_rm,
-            res.residual_p,
-            res.iterations,
-            int(res.converged),
-            _certified_status(res),
-        )
-    except Exception as exc:
-        row = (settings["mode"],) + (math.nan,) * 6 + (0, _status_from_exc(exc))
     header = (
         "mode",
         "p_star",
@@ -435,11 +424,9 @@ def run_optimize(params: NetworkParams, settings: dict, outdir: Path):
         "converged",
         "status",
     )
-    _write_csv(outdir / "optimize.csv", "sectorrelay.optimize", header, [row])
-    outputs = [
-        {"file": "optimize.csv", "schema": f"sectorrelay.optimize v{SCHEMA_VERSION}"}
-    ]
-    return outputs, [], _errors_in([row])
+    job = (settings["mode"], params, settings["variant"])
+    rows = _map_rows(_row_optimize, [job], header, 1)
+    return [_write_csv(outdir, "optimize", header, rows)], [], _errors_in(rows)
 
 
 def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
@@ -478,26 +465,14 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         z,
         "ok",
     )
-    _write_csv(outdir / "simulate.csv", "sectorrelay.simulate", header, [row])
-    outputs = [
-        {"file": "simulate.csv", "schema": f"sectorrelay.simulate v{SCHEMA_VERSION}"}
-    ]
+    outputs = [_write_csv(outdir, "simulate", header, [row])]
     if settings["emit_trials"]:
         trial_rows = [
             (s.trial, int(s.relay_found), s.d, s.cos_offset, s.sir, int(s.success), s.progress)
             for s in samples
         ]
-        _write_csv(
-            outdir / "simulate_trials.csv",
-            "sectorrelay.simulate_trials",
-            simulate.TRIAL_COLUMNS,
-            trial_rows,
-        )
         outputs.append(
-            {
-                "file": "simulate_trials.csv",
-                "schema": f"sectorrelay.simulate_trials v{SCHEMA_VERSION}",
-            }
+            _write_csv(outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows)
         )
     return outputs, [], 0
 
@@ -569,6 +544,46 @@ def _execute(
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits_option(action: argparse.Action, value) -> bool:
+    """Whether ``value`` is one the option behind ``action`` can produce."""
+    if action.choices is not None:
+        return value in action.choices
+    if action.type is None:  # a store_true flag
+        return isinstance(value, bool)
+    if action.type is _grid_spec:
+        return isinstance(value, list) and all(map(_is_number, value))
+    if value is None:
+        return action.default is None
+    return _is_number(value) and (action.type is float or isinstance(value, int))
+
+
+def _check_settings(command: str, settings: dict, path: Path) -> None:
+    """Reject replayed settings the command's own flags could not produce.
+
+    The keys are the ones _settings_from_args reads for ``command``, taken
+    from the parser's defaults; each value must fit its option's type.
+    """
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {a.dest: a for a in subcommands.choices[command]._actions}
+    defaults = argparse.Namespace(
+        command=command, **{dest: a.default for dest, a in options.items()}
+    )
+    problems = []
+    for key in _settings_from_args(defaults):
+        if key not in settings:
+            problems.append(f"manifest {path}: settings lack key: {key}")
+        elif not _fits_option(options[key], settings[key]):
+            problems.append(f"manifest {path}: bad settings value {key}={settings[key]!r}")
+    if problems:
+        raise ParameterError(problems)
+
+
 def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
@@ -583,6 +598,7 @@ def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
         if not isinstance(doc[key], dict):
             raise ParameterError([f"manifest {path}: {key} is not a JSON object"])
     params = NetworkParams.from_mapping(doc["params"])
+    _check_settings(command, doc["settings"], path)
     if not (outdir_flag or "outdir" in doc):
         raise ParameterError([f"manifest {path} lacks key: outdir (or pass --outdir)"])
     outdir = Path(outdir_flag or doc["outdir"])
@@ -734,7 +750,7 @@ def _settings_from_args(args) -> dict:
         return {
             **base,
             "param": args.param,
-            "values": list(args.values),
+            "values": args.values,
             "optimize": bool(args.optimize),
             "scaling": bool(args.scaling),
             "variant": args.variant,

@@ -73,11 +73,6 @@ class NetworkParams:
     mu: float = 1.0
     r_m: float = 0.0
 
-    @property
-    def beta_db(self) -> float:
-        """SIR threshold in decibels."""
-        return 10.0 * math.log10(self.beta)
-
     def validate(self) -> "NetworkParams":
         """Check every admissibility condition; raise ParameterError naming
         each violated one. Returns self so calls can be chained."""
@@ -105,18 +100,6 @@ class NetworkParams:
         return self
 
     # -- serialization ----------------------------------------------------
-
-    def to_mapping(self) -> dict:
-        """Documented-key mapping (beta expressed in dB)."""
-        return {
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "beta_db": self.beta_db,
-            "mu": self.mu,
-            "p": self.p,
-            "phi": self.phi,
-            "r_m": self.r_m,
-        }
 
     def to_exact_mapping(self) -> dict:
         """Mapping with the linear beta, for exact round-trips (manifests)."""
@@ -165,21 +148,6 @@ class NetworkParams:
             r_m=values.get("r_m", 0.0),
         ).validate()
 
-    def to_config_text(self) -> str:
-        """Flat ``key = value`` serialization with round-trip-safe numbers."""
-        lines = [f"{k} = {v:.17g}" for k, v in self.to_mapping().items()]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_config_text(cls, text: str) -> "NetworkParams":
-        """Parse a flat key-value config (``#`` comments and blank lines ok)
-        or a JSON object with the same documented keys."""
-        return cls.from_mapping(parse_config_mapping(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n"
-
-
 def parse_config_mapping(text: str) -> dict:
     """Raw key -> value mapping from config text, without validation.
 
@@ -209,14 +177,6 @@ def parse_config_mapping(text: str) -> dict:
             raise ParameterError([f"duplicate config key: {key}"])
         mapping[key] = value.strip()
     return mapping
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """The two derived constants of the closed forms; see module docstring."""
-
-    t: float
-    k: float
 
 
 def spatial_interference_constant(alpha: float, beta: float) -> float:
@@ -254,9 +214,3 @@ def effective_interference_constant(params: NetworkParams, variant: ProtocolVari
         return t
     return t * (TWO_PI / params.phi)  # exactly t at phi = 2*pi
 
-
-def derive_constants(params: NetworkParams) -> DerivedConstants:
-    """Compute (t, k) for a validated parameter bundle."""
-    params.validate()
-    t = spatial_interference_constant(params.alpha, params.beta)
-    return DerivedConstants(t=t, k=radial_decay_rate(params, t))

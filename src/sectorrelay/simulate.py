@@ -40,7 +40,6 @@ under changes of the fading rate mu.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -131,12 +130,6 @@ class PointConfiguration:
     positions: np.ndarray
     is_transmitter: np.ndarray
     orientations: np.ndarray
-    window_radius: float
-
-    @property
-    def transmitter_fraction(self) -> float:
-        n = len(self.is_transmitter)
-        return float(self.is_transmitter.sum()) / n if n else math.nan
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,6 @@ def assign_roles(
     positions: np.ndarray,
     p: float,
     rng: np.random.Generator,
-    window_radius: float,
 ) -> PointConfiguration:
     """Independent Bernoulli(p) thinning into transmitters and receivers.
 
@@ -219,7 +211,6 @@ def assign_roles(
         positions=np.asarray(positions, dtype=float),
         is_transmitter=is_tx,
         orientations=orientations,
-        window_radius=window_radius,
     )
 
 
@@ -244,21 +235,19 @@ def select_relay(
     receivers: np.ndarray,
     phi: float,
     r_m: float,
-    tx_position: np.ndarray | tuple = (0.0, 0.0),
-    tx_orientation: float = 0.0,
 ) -> np.ndarray | None:
     """Nearest receiver inside the selection region, or None.
 
-    The region is the sector of half-angle phi/2 around the transmitter's
-    heading, restricted to distances strictly greater than r_m. The angular
-    edge is inclusive, the distance edge exclusive.
+    The transmitter is the Palm point at the origin with heading 0, so the
+    region is the sector of half-angle phi/2 around the +x axis, restricted
+    to distances strictly greater than r_m. The angular edge is inclusive,
+    the distance edge exclusive.
     """
     rx = np.asarray(receivers, dtype=float)
     if rx.size == 0:
         return None
-    delta = rx - np.asarray(tx_position, dtype=float)
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    offset = _wrap_angle(np.arctan2(delta[:, 1], delta[:, 0]) - tx_orientation)
+    dist = np.hypot(rx[:, 0], rx[:, 1])
+    offset = np.arctan2(rx[:, 1], rx[:, 0])
     eligible = (np.abs(offset) <= phi / 2.0) & (dist > r_m)
     if not eligible.any():
         return None
@@ -407,7 +396,7 @@ def _run_trial_once(
     # smaller radius keeps the points inside it, which is exactly its process
     widest = max(radii)
     offsets = sample_ppp(params.p * params.lam, widest, rng)
-    config = assign_roles(offsets + relay, 1.0, rng, widest)
+    config = assign_roles(offsets + relay, 1.0, rng)
     sir = sir_at(relay, (0.0, 0.0), 0.0, config, params, rng, variant)
     success = sir > params.beta
 
@@ -581,7 +570,7 @@ def simulate_link_success(
     for i in range(trials):
         rng = substream(seed, _TAG_LINK, i)
         others = sample_ppp(params.p * params.lam, interference_radius, rng)
-        config = assign_roles(others, 1.0, rng, interference_radius)
+        config = assign_roles(others, 1.0, rng)
         sir = sir_at((0.0, 0.0), (-d, 0.0), 0.0, config, params, rng, variant)
         if sir > params.beta:
             successes += 1

@@ -1,15 +1,13 @@
 """Special functions and quadrature used by the analytic formulas.
 
 Everything downstream (success probabilities, expected density of progress,
-stationarity residuals) reduces to three primitives:
+stationarity residuals) reduces to two primitives:
 
-  - erf, the Gauss error function,
   - the upper incomplete gamma function at shape 3/2,
   - semi-infinite quadrature for the independent numerical cross-checks.
 
 Only shape 3/2 is provided (plus shape 1/2, which solves the radial
-optimality condition for p, and the elementary shapes 1 and 2 that appear
-in the two-sided bound); this is not a general incomplete-gamma library.
+optimality condition for p); this is not a general incomplete-gamma library.
 """
 
 from __future__ import annotations
@@ -37,17 +35,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     evaluations: int
-
-
-def erf(x: float) -> float:
-    """Error function, exactly odd by construction.
-
-    Evaluates on |x| and applies the sign, so erf(-x) == -erf(x) holds
-    bit-for-bit regardless of the libm underneath. Absolute error is well
-    below 1e-12 (verified against an arbitrary-precision oracle in the
-    test suite).
-    """
-    return math.copysign(math.erf(abs(x)), x) if x != 0.0 else 0.0
 
 
 def gamma_upper_3half(x: float) -> float:
@@ -90,34 +77,17 @@ def gamma_upper_3half_scaled(x: float) -> float:
     return gamma_upper_half_scaled(x) / 2.0 + math.sqrt(x)
 
 
-def gamma_upper_one(x: float) -> float:
-    """Upper incomplete gamma of shape 1: exp(-x)."""
-    if x < 0:
-        raise DomainError(f"gamma_upper_one requires x >= 0, got {x}")
-    return math.exp(-x)
-
-
-def gamma_upper_two(x: float) -> float:
-    """Upper incomplete gamma of shape 2: (1 + x)*exp(-x)."""
-    if x < 0:
-        raise DomainError(f"gamma_upper_two requires x >= 0, got {x}")
-    return (1.0 + x) * math.exp(-x)
-
-
 def integrate_semi_infinite(
     f: Callable[[float], float],
     lower: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_subdivisions: int = 200,
 ) -> QuadratureResult:
     """Adaptive quadrature of f over [lower, inf).
 
     Wraps QUADPACK's infinite-interval routine. Raises QuadratureError if
-    the integrator reports non-convergence within its subdivision budget
-    (about 10^6 evaluations at the default limit); a silent wrong value is
-    never returned. The reported abs_error_estimate is QUADPACK's bound on
-    |value - true integral|.
+    the integrator reports non-convergence within 200 subdivisions; a
+    silent wrong value is never returned. The reported abs_error_estimate
+    is QUADPACK's bound on |value - true integral|.
     """
     if not math.isfinite(lower):
         raise DomainError(f"lower limit must be finite, got {lower}")
@@ -127,9 +97,9 @@ def integrate_semi_infinite(
         f,
         lower,
         np.inf,
-        epsabs=abs_tol,
+        epsabs=0.0,
         epsrel=rel_tol,
-        limit=max_subdivisions,
+        limit=200,
         full_output=1,
     )
     if len(ret) > 3:

@@ -206,15 +206,14 @@ def test_omni_never_beats_directional():
     for phi in np.linspace(0.3, 2 * math.pi * 0.99, 8):
         params = _with(BASE, phi=float(phi), r_m=0.25)
         directional = analytic.expected_density_closed(params)
-        omni = analytic.omni_expected_density(params)
+        omni = analytic.expected_density_closed(params, ProtocolVariant.OMNIDIRECTIONAL)
         assert omni < directional
 
 
 def test_omni_equals_directional_at_full_circle():
     params = _with(BASE, phi=2 * math.pi, r_m=0.2)
-    assert analytic.omni_expected_density(params) == pytest.approx(
-        analytic.expected_density_closed(params), rel=1e-12
-    )
+    omni = analytic.expected_density_closed(params, ProtocolVariant.OMNIDIRECTIONAL)
+    assert omni == pytest.approx(analytic.expected_density_closed(params), rel=1e-12)
 
 
 # ---------------------------------------------------------------------

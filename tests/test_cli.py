@@ -21,6 +21,7 @@ P_STAR = 0.1188294545528762
 E_STAR = 0.029141266278579252
 
 BASE = NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=0.12, phi=math.pi / 2)
+GOOD_PARAMS = BASE.to_exact_mapping()
 
 
 def read_table(path: Path):
@@ -91,6 +92,7 @@ def test_fig2_bad_row_is_annotated_not_fatal(tmp_path):
     assert rows[0]["status"] == "ok"
     assert rows[1]["status"].startswith("error: ParameterError")
     assert rows[1]["rm_numerical"] == "nan"
+    assert rows[1]["printed_bound_holds"] == "nan"  # no flag without a value
     assert rows[2]["status"] == "ok"
 
 
@@ -123,6 +125,20 @@ def test_fig34_joint_table(tmp_path):
         assert num == pytest.approx(closed, abs=1e-3 * max(1.0, closed))
     rms = [float(r["rm_star_numeric"]) for r in rows]
     assert all(a > b for a, b in zip(rms, rms[1:]))
+
+
+def test_fig34_keeps_the_optimum_outside_the_closed_form_regime(tmp_path):
+    # beta = -10 dB gives t = 1.64 < pi: the closed-form r_m is undefined,
+    # but the joint optimum is certified and must be reported
+    rc = cli.main(["fig34", "--beta-db", "-10", "--phi-grid", "1.0", "--outdir", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_table(tmp_path / "fig3_fig4.csv")
+    row = rows[0]
+    assert math.isfinite(float(row["p_star"]))
+    assert math.isfinite(float(row["rm_star_numeric"]))
+    assert row["rm_star_closed_form"] == "nan"
+    assert row["converged"] == "1"
+    assert row["status"].startswith("ok (closed-form r_m undefined: ")
 
 
 # ---------------------------------------------------------------------
@@ -367,6 +383,17 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
         ({"command": ["fig2"], "params": {}, "settings": {}}, "unknown command"),
         ({"command": "fig2", "params": [], "settings": {}}, "params"),
         ({"command": "fig2", "params": {"lambda": 1.0}, "settings": {}}, "missing config key"),
+        ({"command": "fig2", "params": GOOD_PARAMS, "settings": {}}, "phi_grid"),
+        (
+            {"command": "fig2", "params": GOOD_PARAMS,
+             "settings": {"seed": 0, "workers": "x", "phi_grid": [0.5]}},
+            "workers",
+        ),
+        (
+            {"command": "fig2", "params": GOOD_PARAMS,
+             "settings": {"seed": 0, "workers": 1, "phi_grid": [0.5, "zz"]}},
+            "phi_grid",
+        ),
     ],
 )
 def test_malformed_manifest_is_a_usage_error(tmp_path, capsys, doc, named):
@@ -374,7 +401,9 @@ def test_malformed_manifest_is_a_usage_error(tmp_path, capsys, doc, named):
     path.write_text(json.dumps(doc))
     rc = cli.main(["--from-manifest", str(path), "--outdir", str(tmp_path / "out")])
     assert rc == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

@@ -90,18 +90,6 @@ def test_k_linear_in_lambda_and_phi():
     assert model.radial_decay_rate(doubled_phi, t) == pytest.approx(2 * k1, rel=1e-15)
 
 
-def test_derive_constants_bundle():
-    c = model.derive_constants(BASE)
-    assert c.t == pytest.approx(T_ALPHA3_BETA10, rel=1e-15)
-    assert c.k == pytest.approx(K_BASE, rel=1e-15)
-
-
-def test_derive_constants_validates():
-    bad = NetworkParams(lam=1.0, alpha=1.5, beta=10.0, p=0.12, phi=math.pi / 2)
-    with pytest.raises(ParameterError):
-        model.derive_constants(bad)
-
-
 # ---------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------
@@ -145,9 +133,9 @@ def test_validate_phi_upper_edge_inclusive():
 # serialization and config parsing
 # ---------------------------------------------------------------------
 
-def test_beta_db_property():
-    assert NetworkParams(lam=1, alpha=3, beta=100.0, p=0.1, phi=1.0).beta_db == pytest.approx(20.0, abs=1e-13)
-    assert BASE.beta_db == pytest.approx(10.0, abs=1e-13)
+def _from_config_text(text):
+    """The --config route: raw parse, then the validated mapping."""
+    return NetworkParams.from_mapping(model.parse_config_mapping(text))
 
 
 def test_from_mapping_accepts_beta_db():
@@ -191,15 +179,6 @@ def test_from_mapping_rejects_out_of_range_by_name():
         )
 
 
-def test_config_text_roundtrip():
-    # dB conversion costs a rounding, so the roundtrip is near-exact
-    params = NetworkParams(lam=0.7, alpha=3.3, beta=7.3, p=0.21, phi=2.2, mu=1.5, r_m=0.4)
-    back = NetworkParams.from_config_text(params.to_config_text())
-    assert back.lam == params.lam
-    assert back.beta == pytest.approx(params.beta, rel=1e-12)
-    assert back.r_m == params.r_m
-
-
 def test_exact_mapping_roundtrip_is_bitwise():
     params = NetworkParams(lam=0.7, alpha=3.3, beta=7.3, p=0.21, phi=2.2, mu=1.5, r_m=0.4)
     back = NetworkParams.from_mapping(params.to_exact_mapping())
@@ -215,25 +194,25 @@ def test_from_config_text_flat_format():
     p = 0.12
     phi = 1.5707963267948966
     """
-    params = NetworkParams.from_config_text(text)
+    params = _from_config_text(text)
     assert params.lam == 2.0
     assert params.phi == math.pi / 2
 
 
 def test_from_config_text_json_format():
     doc = {"lambda": 1.0, "alpha": 3.0, "beta_db": 10.0, "p": 0.12, "phi": 1.0}
-    params = NetworkParams.from_config_text(json.dumps(doc))
+    params = _from_config_text(json.dumps(doc))
     assert params.p == 0.12
 
 
 def test_config_text_rejects_duplicate_keys():
     with pytest.raises(ParameterError, match="duplicate config key: p"):
-        NetworkParams.from_config_text("lambda=1\nalpha=3\nbeta_db=10\np=0.1\np=0.2\nphi=1\n")
+        _from_config_text("lambda=1\nalpha=3\nbeta_db=10\np=0.1\np=0.2\nphi=1\n")
 
 
 def test_config_text_rejects_malformed_lines():
     with pytest.raises(ParameterError, match="line 1"):
-        NetworkParams.from_config_text("what is this\n")
+        _from_config_text("what is this\n")
 
 
 def test_parse_config_mapping_partial():
@@ -245,12 +224,6 @@ def test_parse_config_mapping_partial():
 def test_parse_config_mapping_rejects_json_array():
     with pytest.raises(ParameterError, match="JSON config"):
         model.parse_config_mapping("[1, 2]")
-
-
-def test_to_json_uses_documented_keys():
-    doc = json.loads(BASE.to_json())
-    assert set(doc) == set(model.CONFIG_KEYS)
-    assert doc["beta_db"] == pytest.approx(10.0, abs=1e-13)
 
 
 def test_protocol_variant_values():

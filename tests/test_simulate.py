@@ -106,9 +106,9 @@ def test_sample_ppp_domain_errors():
 def test_assign_roles_thinning_fraction():
     rng = simulate.substream(99, 0, 0)
     pts = rng.uniform(-1, 1, size=(100_000, 2))
-    config = simulate.assign_roles(pts, 0.12, rng, 1.0)
+    config = simulate.assign_roles(pts, 0.12, rng)
     # 3-sigma band: sqrt(0.12*0.88/1e5) ~ 0.00103
-    assert config.transmitter_fraction == pytest.approx(0.12, abs=0.0031)
+    assert config.is_transmitter.mean() == pytest.approx(0.12, abs=0.0031)
     # NaN heading exactly on receivers, uniform heading on transmitters
     assert np.array_equal(np.isnan(config.orientations), ~config.is_transmitter)
     tx_orient = config.orientations[config.is_transmitter]
@@ -118,10 +118,10 @@ def test_assign_roles_thinning_fraction():
 def test_assign_roles_edge_probabilities():
     rng = simulate.substream(99, 0, 1)
     pts = rng.uniform(-1, 1, size=(500, 2))
-    assert simulate.assign_roles(pts, 0.0, rng, 1.0).is_transmitter.sum() == 0
-    assert simulate.assign_roles(pts, 1.0, rng, 1.0).is_transmitter.all()
+    assert simulate.assign_roles(pts, 0.0, rng).is_transmitter.sum() == 0
+    assert simulate.assign_roles(pts, 1.0, rng).is_transmitter.all()
     with pytest.raises(DomainError):
-        simulate.assign_roles(pts, 1.2, rng, 1.0)
+        simulate.assign_roles(pts, 1.2, rng)
 
 
 def test_covering_transmitter_density():
@@ -133,7 +133,7 @@ def test_covering_transmitter_density():
     for i in range(trials):
         rng = simulate.substream(314, 0, i)
         pts = simulate.sample_ppp(lam, radius, rng)
-        config = simulate.assign_roles(pts, p, rng, radius)
+        config = simulate.assign_roles(pts, p, rng)
         tx_pos = config.positions[config.is_transmitter]
         tx_orient = config.orientations[config.is_transmitter]
         total += int(simulate.sector_covers(tx_pos, tx_orient, (0.0, 0.0), phi).sum())
@@ -177,25 +177,6 @@ def test_select_relay_angular_edge_location():
         assert got is expected
 
 
-def test_select_relay_respects_pose():
-    # transmitter away from the origin, rotated heading
-    tx = np.array([3.0, 4.0])
-    heading = 2.0
-    rx = tx + 0.7 * np.array([math.cos(heading), math.sin(heading)])
-    relay = simulate.select_relay(
-        rx[None, :], math.pi / 3, 0.1, tx_position=tx, tx_orientation=heading
-    )
-    assert relay is not None
-    assert np.hypot(*(relay - tx)) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_select_relay_wraps_across_the_angle_cut():
-    heading = math.pi - 0.05
-    angle = -math.pi + 0.05  # 0.1 rad away from the heading, across the cut
-    rx = np.array([[math.cos(angle), math.sin(angle)]])
-    assert simulate.select_relay(rx, 0.5, 0.0, tx_orientation=heading) is not None
-
-
 # ---------------------------------------------------------------------
 # relay distance distribution
 # ---------------------------------------------------------------------
@@ -224,13 +205,12 @@ def test_relay_distances_rayleigh_specialization():
 # SIR of a single link
 # ---------------------------------------------------------------------
 
-def _config(positions, orientations, radius=10.0):
+def _config(positions, orientations):
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     return simulate.PointConfiguration(
         positions=positions,
         is_transmitter=np.ones(len(positions), dtype=bool),
         orientations=np.asarray(orientations, dtype=float),
-        window_radius=radius,
     )
 
 
