@@ -22,12 +22,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,11 +59,14 @@ PARAM_DEFAULTS = {
 FINE_PHI_GRID = [float(x) for x in np.linspace(math.pi / 12.0, 2.0 * math.pi, 24)]
 COARSE_PHI_GRID = [float(x) for x in np.linspace(math.pi / 6.0, 2.0 * math.pi, 12)]
 
+#: Title of the option group that holds the network-parameter flags.
+PARAMS_GROUP = "network parameters"
+
 SWEEPABLE_KEYS = ("lambda", "alpha", "beta_db", "beta", "mu", "p", "phi", "r_m")
 
 
 # =====================================================================
-# small helpers: formatting, CSV, grids, parallel rows
+# small helpers: formatting, CSV, grids, guarded rows
 # =====================================================================
 
 def _fmt(value) -> str:
@@ -113,26 +114,14 @@ def _grid_spec(text: str) -> list[float]:
     return values
 
 
-def _guarded_row(fn, width: int, job) -> tuple:
-    """fn(job), or the failed row: the job's key (its first item), nan up
-    to the table width and an error status. Module-level, so that process
-    pools can pickle it."""
+def _row_or_error(header, row, key, *args) -> tuple:
+    """row(key, *args), or the failed row: the key, nan up to the table
+    width and an error status."""
     try:
-        return fn(job)
+        return row(key, *args)
     except Exception as exc:
         status = f"error: {type(exc).__name__}: {exc}"
-        return (job[0],) + (math.nan,) * (width - 2) + (status,)
-
-
-def _map_rows(fn, jobs, header, workers: int) -> list:
-    """One row per job, in job order, optionally across processes; a job
-    that raises becomes a failed row as wide as the header."""
-    row = functools.partial(_guarded_row, fn, len(header))
-    workers = simulate.worker_count(workers, len(jobs))
-    if workers <= 1:
-        return [row(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, jobs))
+        return (key,) + (math.nan,) * (len(header) - 2) + (status,)
 
 
 def _certified_status(*results) -> str:
@@ -201,11 +190,10 @@ def _resolve_outdir(args) -> Path:
 
 
 # =====================================================================
-# row workers (module-level so process pools can pickle them)
+# table rows: each returns one row for its key or raises
 # =====================================================================
 
-def _row_fig2(job) -> tuple:
-    phi, params = job
+def _row_fig2(phi: float, params: NetworkParams) -> tuple:
     trial = dataclasses.replace(params, phi=phi)
     best = optimize.optimize_rm(trial)
     rm_num = best.rm_star
@@ -228,8 +216,7 @@ def _row_fig2(job) -> tuple:
     )
 
 
-def _row_fig34(job) -> tuple:
-    phi, params = job
+def _row_fig34(phi: float, params: NetworkParams) -> tuple:
     trial = dataclasses.replace(params, phi=phi)
     joint = optimize.optimize_joint(trial)
     status = _certified_status(joint)
@@ -242,40 +229,37 @@ def _row_fig34(job) -> tuple:
     return (phi, joint.p_star, joint.rm_star, rm_closed, int(joint.converged), status)
 
 
-def _row_fig5(job) -> tuple:
-    phi, params, sim_settings = job
+def _row_fig5(phi: float, params: NetworkParams, settings: dict, seed: int) -> tuple:
     trial = dataclasses.replace(params, phi=phi)
     best_dir = optimize.optimize_joint(trial, ProtocolVariant.DIRECTIONAL)
     best_omni = optimize.optimize_joint(trial, ProtocolVariant.OMNIDIRECTIONAL)
     row = [phi, best_dir.objective, best_omni.objective]
-    if sim_settings is not None:
+    if settings["simulate"]:
         for best, variant in (
             (best_dir, ProtocolVariant.DIRECTIONAL),
             (best_omni, ProtocolVariant.OMNIDIRECTIONAL),
         ):
             at_opt = dataclasses.replace(trial, p=best.p_star, r_m=best.rm_star)
-            sim = simulate.SimConfig.for_params(
-                at_opt, sim_settings["trials"], sim_settings["seed"]
-            )
+            sim = simulate.SimConfig.for_params(at_opt, settings["trials"], seed)
             est = simulate.estimate_density_of_progress(
-                at_opt, sim, variant, workers=sim_settings["workers"]
+                at_opt, sim, variant, workers=settings["workers"]
             )
             row += [est.mean, est.std_error]
     return tuple(row + [_certified_status(best_dir, best_omni)])
 
 
-def _row_sweep(job) -> tuple:
-    value, params, key, do_opt, scaling, variant_name = job
+def _row_sweep(value: float, params: NetworkParams, settings: dict) -> tuple:
+    key = settings["param"]
     mapping = params.to_exact_mapping()
     if key == "beta_db":
         mapping.pop("beta", None)
     mapping[key] = value
     trial = NetworkParams.from_mapping(mapping)
-    variant = ProtocolVariant(variant_name)
-    if do_opt:
+    variant = ProtocolVariant(settings["variant"])
+    if settings["optimize"] or settings["scaling"]:
         best = optimize.optimize_joint(trial, variant)
         row = [value, best.p_star, best.rm_star, best.objective]
-        if scaling:
+        if settings["scaling"]:
             row.append(best.objective / math.sqrt(trial.lam))
         return tuple(row + [_certified_status(best)])
     closed = analytic.expected_density_closed(trial, variant)
@@ -283,9 +267,8 @@ def _row_sweep(job) -> tuple:
     return (value, closed, numeric, "ok")
 
 
-def _row_optimize(job) -> tuple:
-    mode, params, variant_name = job
-    variant = ProtocolVariant(variant_name)
+def _row_optimize(mode: str, params: NetworkParams, settings: dict) -> tuple:
+    variant = ProtocolVariant(settings["variant"])
     if mode == "rm":
         res = optimize.optimize_rm(params, variant)
         p_star = params.p
@@ -310,9 +293,6 @@ def _row_optimize(job) -> tuple:
 # =====================================================================
 
 def run_fig2(params: NetworkParams, settings: dict, outdir: Path):
-    grid = settings["phi_grid"]
-    if not grid:
-        raise ParameterError(["empty phi grid"])
     header = (
         "phi",
         "rm_numerical",
@@ -322,8 +302,9 @@ def run_fig2(params: NetworkParams, settings: dict, outdir: Path):
         "printed_bound_holds",
         "status",
     )
-    jobs = [(float(phi), params) for phi in grid]
-    rows = _map_rows(_row_fig2, jobs, header, settings["workers"])
+    rows = [
+        _row_or_error(header, _row_fig2, float(phi), params) for phi in settings["phi_grid"]
+    ]
     notes = [
         "bound columns: the printed variant (discriminant 4k^3 - 2kC^2) is the "
         "one that provably dominates the optimum; the derived variant "
@@ -334,9 +315,6 @@ def run_fig2(params: NetworkParams, settings: dict, outdir: Path):
 
 
 def run_fig34(params: NetworkParams, settings: dict, outdir: Path):
-    grid = settings["phi_grid"]
-    if not grid:
-        raise ParameterError(["empty phi grid"])
     header = (
         "phi",
         "p_star",
@@ -345,18 +323,22 @@ def run_fig34(params: NetworkParams, settings: dict, outdir: Path):
         "converged",
         "status",
     )
-    jobs = [(float(phi), params) for phi in grid]
-    rows = _map_rows(_row_fig34, jobs, header, settings["workers"])
+    rows = [
+        _row_or_error(header, _row_fig34, float(phi), params) for phi in settings["phi_grid"]
+    ]
     return [_write_csv(outdir, "fig3_fig4", header, rows)], [], _errors_in(rows)
 
 
 def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
     grid = settings["phi_grid"]
-    if not grid:
-        raise ParameterError(["empty phi grid"])
-    simulate_rows = settings["simulate"]
     header = ["phi", "edp_directional_opt", "edp_omni_opt"]
-    if simulate_rows:
+    if settings["simulate"]:
+        # row i simulates under seed + i: check the first and last run
+        # settings here, so that a bad --trials or --seed is a usage error
+        # rather than a table of failed rows
+        for seed in (settings["seed"], settings["seed"] + len(grid) - 1):
+            sim = simulate.SimConfig.for_params(params, settings["trials"], seed)
+            simulate.validate_for_estimation(params, sim)
         header += [
             "sim_directional_mean",
             "sim_directional_std_error",
@@ -364,18 +346,10 @@ def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
             "sim_omni_std_error",
         ]
     header.append("status")
-    sim_settings = None
-    jobs = []
-    for i, phi in enumerate(grid):
-        if simulate_rows:
-            sim_settings = {
-                "trials": settings["trials"],
-                "seed": settings["seed"] + i,
-                "workers": settings["workers"],
-            }
-        jobs.append((float(phi), params, sim_settings))
-    # simulation rows parallelize inside the estimator instead
-    rows = _map_rows(_row_fig5, jobs, header, 1 if simulate_rows else settings["workers"])
+    rows = [
+        _row_or_error(header, _row_fig5, float(phi), params, settings, seed)
+        for seed, phi in enumerate(grid, settings["seed"])
+    ]
     notes = []
     if any(abs(phi - 2.0 * math.pi) < 1e-12 for phi in grid):
         notes.append(
@@ -388,27 +362,17 @@ def run_fig5(params: NetworkParams, settings: dict, outdir: Path):
 
 
 def run_sweep(params: NetworkParams, settings: dict, outdir: Path):
-    values = settings["values"]
-    if not values:
-        raise ParameterError(["empty sweep grid"])
     key = settings["param"]
-    if key not in SWEEPABLE_KEYS:
-        raise ParameterError(
-            [f"unknown sweep key: {key} (choose from {', '.join(SWEEPABLE_KEYS)})"]
-        )
-    do_opt = settings["optimize"] or settings["scaling"]
-    if do_opt:
+    if settings["optimize"] or settings["scaling"]:
         header = [key, "p_star", "rm_star", "edp_opt"]
         if settings["scaling"]:
             header.append("edp_opt_over_sqrt_lambda")
     else:
         header = [key, "edp_closed", "edp_numeric"]
     header.append("status")
-    jobs = [
-        (float(v), params, key, do_opt, settings["scaling"], settings["variant"])
-        for v in values
+    rows = [
+        _row_or_error(header, _row_sweep, float(v), params, settings) for v in settings["values"]
     ]
-    rows = _map_rows(_row_sweep, jobs, header, settings["workers"])
     return [_write_csv(outdir, "sweep", header, rows)], [], _errors_in(rows)
 
 
@@ -424,8 +388,7 @@ def run_optimize(params: NetworkParams, settings: dict, outdir: Path):
         "converged",
         "status",
     )
-    job = (settings["mode"], params, settings["variant"])
-    rows = _map_rows(_row_optimize, [job], header, 1)
+    rows = [_row_or_error(header, _row_optimize, settings["mode"], params, settings)]
     return [_write_csv(outdir, "optimize", header, rows)], [], _errors_in(rows)
 
 
@@ -555,36 +518,29 @@ def _fits_option(action: argparse.Action, value) -> bool:
     if action.type is None:  # a store_true flag
         return isinstance(value, bool)
     if action.type is _grid_spec:
-        return isinstance(value, list) and all(map(_is_number, value))
+        return isinstance(value, list) and bool(value) and all(map(_is_number, value))
     if value is None:
         return action.default is None
     return _is_number(value) and (action.type is float or isinstance(value, int))
 
 
-def _check_settings(command: str, settings: dict, path: Path) -> None:
-    """Reject replayed settings the command's own flags could not produce.
-
-    The keys are the ones _settings_from_args reads for ``command``, taken
-    from the parser's defaults; each value must fit its option's type.
-    """
-    subcommands = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    options = {a.dest: a for a in subcommands.choices[command]._actions}
-    defaults = argparse.Namespace(
-        command=command, **{dest: a.default for dest, a in options.items()}
-    )
+def _check_settings(options: dict, settings: dict, path: Path) -> None:
+    """Reject replayed settings the command's own flags could not produce:
+    every one of its setting options needs a key, and each value must fit
+    its option's type."""
     problems = []
-    for key in _settings_from_args(defaults):
+    for key, action in options.items():
         if key not in settings:
             problems.append(f"manifest {path}: settings lack key: {key}")
-        elif not _fits_option(options[key], settings[key]):
+        elif not _fits_option(action, settings[key]):
             problems.append(f"manifest {path}: bad settings value {key}={settings[key]!r}")
     if problems:
         raise ParameterError(problems)
 
 
-def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
+def rerun_from_manifest(
+    parser: argparse.ArgumentParser, path: Path, outdir_flag: str | None
+) -> int:
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise ParameterError([f"manifest {path} is not a JSON object"])
@@ -598,7 +554,7 @@ def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
         if not isinstance(doc[key], dict):
             raise ParameterError([f"manifest {path}: {key} is not a JSON object"])
     params = NetworkParams.from_mapping(doc["params"])
-    _check_settings(command, doc["settings"], path)
+    _check_settings(_setting_options(parser, command), doc["settings"], path)
     if not (outdir_flag or "outdir" in doc):
         raise ParameterError([f"manifest {path} lacks key: outdir (or pass --outdir)"])
     outdir = Path(outdir_flag or doc["outdir"])
@@ -632,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     params_parent = argparse.ArgumentParser(add_help=False)
-    grp = params_parent.add_argument_group("network parameters")
+    grp = params_parent.add_argument_group(PARAMS_GROUP)
     grp.add_argument("--config", metavar="PATH", help="key=value or JSON parameter file")
     grp.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="node density (default 1)")
@@ -657,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
                     f"(default ${OUTDIR_ENV} or the working directory)")
     rg.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
     rg.add_argument("--workers", type=int, default=1,
-                    help="process count; results are identical for any value")
+                    help="processes for Monte-Carlo trials (simulate, fig5 --simulate); "
+                    "results are identical for any value")
 
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -666,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimal reference distance vs beamwidth at fixed p, with both "
         "analytic upper-bound variants",
     )
-    fig2.add_argument("--phi-grid", type=_grid_spec, default=None,
+    fig2.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
                       help="beamwidth grid 'start:stop:count' or comma list "
                       "(default 24 points, pi/12 .. 2*pi)")
 
@@ -675,14 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="jointly optimal transmission probability and reference distance "
         "vs beamwidth",
     )
-    fig34.add_argument("--phi-grid", type=_grid_spec, default=None,
+    fig34.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
                        help="beamwidth grid (default 24 points, pi/12 .. 2*pi)")
 
     fig5 = sub.add_parser(
         "fig5", parents=[params_parent, run_parent],
         help="optimized progress density: directional vs omnidirectional",
     )
-    fig5.add_argument("--phi-grid", type=_grid_spec, default=None,
+    fig5.add_argument("--phi-grid", type=_grid_spec, default=COARSE_PHI_GRID,
                       help="beamwidth grid (default 12 points, pi/6 .. 2*pi)")
     fig5.add_argument("--simulate", action="store_true",
                       help="add Monte-Carlo columns at each optimized point")
@@ -731,42 +688,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _settings_from_args(args) -> dict:
-    """Collect the command-specific, JSON-serializable settings."""
-    command = args.command
-    base = {"seed": args.seed, "workers": args.workers}
-    if command in ("fig2", "fig34"):
-        grid = args.phi_grid if args.phi_grid is not None else FINE_PHI_GRID
-        return {**base, "phi_grid": list(grid)}
-    if command == "fig5":
-        grid = args.phi_grid if args.phi_grid is not None else COARSE_PHI_GRID
-        return {
-            **base,
-            "phi_grid": list(grid),
-            "simulate": bool(args.simulate),
-            "trials": args.trials,
-        }
-    if command == "sweep":
-        return {
-            **base,
-            "param": args.param,
-            "values": args.values,
-            "optimize": bool(args.optimize),
-            "scaling": bool(args.scaling),
-            "variant": args.variant,
-        }
-    if command == "optimize":
-        return {**base, "mode": args.mode, "variant": args.variant}
-    if command == "simulate":
-        return {
-            **base,
-            "trials": args.trials,
-            "window_radius": args.window_radius,
-            "guard_radius": args.guard_radius,
-            "variant": args.variant,
-            "emit_trials": bool(args.emit_trials),
-        }
-    raise ParameterError([f"unknown command: {command}"])
+def _setting_options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """A command's settings, by key: the options of its subparser, less the
+    network parameters (the manifest records those apart), --outdir and
+    --help."""
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    sub = subcommands.choices[command]
+    shared = next(g for g in sub._action_groups if g.title == PARAMS_GROUP)._group_actions
+    return {
+        a.dest: a
+        for a in sub._actions
+        if a not in shared and a.dest not in ("help", "outdir")
+    }
 
 
 def main(argv=None) -> int:
@@ -776,13 +711,13 @@ def main(argv=None) -> int:
         if args.from_manifest:
             if args.command:
                 parser.error("give a subcommand or --from-manifest, not both")
-            return rerun_from_manifest(Path(args.from_manifest), args.outdir)
+            return rerun_from_manifest(parser, Path(args.from_manifest), args.outdir)
         if not args.command:
             parser.error("a subcommand or --from-manifest is required")
         params, overrides = resolve_params(
             args, default_p=0.1 if args.command == "fig2" else None
         )
-        settings = _settings_from_args(args)
+        settings = {key: getattr(args, key) for key in _setting_options(parser, args.command)}
         return _execute(
             args.command, params, settings, _resolve_outdir(args), overrides
         )

@@ -68,12 +68,24 @@ def test_fig2_reruns_are_byte_identical(tmp_path):
     assert (a / "fig2.csv").read_bytes() == (b / "fig2.csv").read_bytes()
 
 
-def test_fig2_parallel_workers_match_serial(tmp_path):
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["fig2", "--phi-grid", "0.5:6.0:6"], ["fig2.csv"]),
+        (
+            ["simulate", "--trials", "150", "--seed", "9", "--emit-trials"],
+            ["simulate.csv", "simulate_trials.csv"],
+        ),
+        (["fig5", "--simulate", "--trials", "100", "--phi-grid", "0.5,1.5"], ["fig5.csv"]),
+    ],
+    ids=["fig2", "simulate", "fig5"],
+)
+def test_parallel_workers_match_serial(tmp_path, argv, tables):
     a, b = tmp_path / "a", tmp_path / "b"
-    grid = "0.5:6.0:6"
-    assert cli.main(["fig2", "--phi-grid", grid, "--outdir", str(a)]) == 0
-    assert cli.main(["fig2", "--phi-grid", grid, "--workers", "2", "--outdir", str(b)]) == 0
-    assert (a / "fig2.csv").read_bytes() == (b / "fig2.csv").read_bytes()
+    assert cli.main(argv + ["--outdir", str(a)]) == 0
+    assert cli.main(argv + ["--workers", "2", "--outdir", str(b)]) == 0
+    for name in tables:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_fig2_manifest_replay(tmp_path):
@@ -172,6 +184,24 @@ def test_fig5_with_simulation_columns(tmp_path):
         target = float(row[f"edp_{variant}_opt"])
         assert se > 0
         assert abs(mean - target) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--trials", "100", "--seed", "-1", "--phi-grid", "1.0"], "seed"),
+        (["--trials", "50", "--phi-grid", "1.0"], "trials"),
+        # row 2 would simulate under seed 2**64
+        (["--trials", "100", "--seed", str(2**64 - 1), "--phi-grid", "1.0,2.0"], "seed"),
+    ],
+)
+def test_fig5_bad_simulation_settings_are_a_usage_error(tmp_path, capsys, argv, named):
+    rc = cli.main(["fig5", "--simulate", *argv, "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fig5.csv").exists()
 
 
 # ---------------------------------------------------------------------
@@ -393,6 +423,17 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
             {"command": "fig2", "params": GOOD_PARAMS,
              "settings": {"seed": 0, "workers": 1, "phi_grid": [0.5, "zz"]}},
             "phi_grid",
+        ),
+        (
+            {"command": "fig2", "params": GOOD_PARAMS,
+             "settings": {"seed": 0, "workers": 1, "phi_grid": []}},
+            "phi_grid",
+        ),
+        (
+            {"command": "sweep", "params": GOOD_PARAMS,
+             "settings": {"seed": 0, "workers": 1, "param": "p", "values": [],
+                          "optimize": False, "scaling": False, "variant": "directional"}},
+            "values",
         ),
     ],
 )
