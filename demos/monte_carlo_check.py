@@ -1,6 +1,6 @@
 """Monte-Carlo validation of the closed forms.
 
-Run from the repository root (takes ~10 s):
+Run from the repository root (takes ~2 s):
 
     python3 demos/monte_carlo_check.py
 """
@@ -23,10 +23,11 @@ opt = NetworkParams(
 # the progress-density estimator
 # =====================================================================
 # Trials sample the network from the viewpoint of a typical transmitter:
-# receivers inside the relay-search window, interferers in a near-field disk
-# around the relay, and the rest of the interference integrated out exactly.
-# Each trial records its conditional expected progress; everything runs on
-# counter-based substreams so runs replay exactly.
+# receivers inside the selection region only (the sector beyond r_m, within
+# the relay-search window), the distances of the interferers in a near-field
+# disk around the relay, and the rest of the interference integrated out
+# exactly. Each trial records its conditional expected progress; chunks of
+# trials run on counter-based substreams so runs replay exactly.
 print("== progress-density estimate vs closed form ==")
 sim = simulate.SimConfig.for_params(opt, trials=3000, seed=7)
 print(f"window {sim.window_radius:.1f}, near field {sim.guard_radius:.1f}, "
@@ -56,6 +57,8 @@ print()
 # =====================================================================
 # relay distances follow the closed law
 # =====================================================================
+# An independent draw: receivers fill the whole window and the relay is
+# picked among them, so this also checks the kernel's restricted draw.
 print("== relay-distance distribution ==")
 geo = dataclasses.replace(opt, r_m=0.1)
 ds = simulate.sample_relay_distances(geo, window_radius=4.0, trials=4000, seed=21)

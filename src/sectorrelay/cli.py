@@ -80,9 +80,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(outdir: Path, name: str, header, rows) -> dict:
-    """Write ``<name>.csv`` under its schema line; return its manifest entry."""
-    schema = f"sectorrelay.{name} v{SCHEMA_VERSION}"
+def _write_csv(outdir: Path, name: str, header, rows, version: int = SCHEMA_VERSION) -> dict:
+    """Write ``<name>.csv`` under its schema line; return its manifest entry.
+
+    The output directory is created here, once the handler has validated
+    its settings, so a rejected run leaves no directory behind.
+    """
+    schema = f"sectorrelay.{name} v{version}"
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / f"{name}.csv", "w", newline="") as fh:
         fh.write(f"# schema: {schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -431,11 +436,13 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
     outputs = [_write_csv(outdir, "simulate", header, [row])]
     if settings["emit_trials"]:
         trial_rows = [
-            (s.trial, int(s.relay_found), s.d, s.cos_offset, s.sir, int(s.success), s.progress)
-            for s in samples
+            (s.trial, int(s.relay_found), s.d, s.cos_offset, s.progress) for s in samples
         ]
         outputs.append(
-            _write_csv(outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows)
+            _write_csv(
+                outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows,
+                simulate.TRIAL_SCHEMA_VERSION,
+            )
         )
     return outputs, [], 0
 
@@ -490,7 +497,6 @@ def _execute(
     outdir: Path,
     overrides: list[str],
 ) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
     started = _now()
     outputs, notes, error_rows = HANDLERS[command](params, settings, outdir)
     finished = _now()

@@ -3,10 +3,19 @@
 Each trial adopts the viewpoint of a typical transmitter: by Slivnyak's
 theorem the rest of the network seen from one of its points is again the
 unconditioned process, so the trial places the tagged transmitter at the
-origin with heading 0, draws receivers at density (1-p)*lambda inside the
-measurement window (15/sqrt(lambda) is far more than enough to contain
-the relay) and selects the relay. The tagged transmitter itself is never
-counted as an interferer.
+origin with heading 0 and looks for its relay. The tagged transmitter
+itself is never counted as an interferer.
+
+Receivers: the relay is the nearest receiver in the selection region, the
+annulus sector r_m < r <= window, |angle| <= phi/2 (the window,
+15/sqrt(lambda) by default, is far more than enough to contain the relay).
+By Poisson restriction the receivers (density (1-p)*lambda) that fall in
+that region are a Poisson process on it, independent of all others, so
+the kernel draws only those: a Poisson count of mean
+(1-p)*lambda*(phi/2)*(window^2 - r_m^2), squared radii uniform on
+(r_m^2, window^2] and angles uniform on the sector. sample_relay_distances
+keeps the full-disk draw and select_relay as the independent check of this
+restriction.
 
 Conditional estimator: a trial records the expected progress given its
 draws, d*cos*P_s, instead of a sampled success indicator. The other
@@ -16,26 +25,36 @@ centring the disk there loses nothing. With x_i = beta*(d/r_i)^alpha and q
 the probability that a transmitter's sector covers the relay (phi/(2*pi)
 directional, 1 omnidirectional), Rayleigh fading and the uniform headings
 integrate out given the positions: interferer i lets the link through with
-probability (1 + (1-q)*x_i)/(1 + x_i). Transmitters beyond L integrate out
-exactly through the Poisson Laplace functional, exp(-p*lambda*q*F(L)) with
-F in closed form (far_field_integral). P_s is therefore the exact success
-probability given the near-field positions, and the estimator is unbiased
-for any L; the radius only decides how much of the interference is sampled
-rather than integrated. The default L = 40/sqrt(lambda) leaves the far
-field under a tenth of -log P_s at the paper's default optimum (about a
-quarter at 10/sqrt(lambda), since relays sit near d = 1/sqrt(lambda)), so
-the simulator still samples the interference it is checking.
+probability (1 + (1-q)*x_i)/(1 + x_i). Only an interferer's distance r_i to
+the relay enters, so the kernel draws only the radii L*sqrt(U). Transmitters
+beyond L integrate out exactly through the Poisson Laplace functional,
+exp(-p*lambda*q*F(L)) with F in closed form (far_field_integral). P_s is
+therefore the exact success probability given the near-field radii, and the
+estimator is unbiased for any L; the radius only decides how much of the
+interference is sampled rather than integrated. The default
+L = 40/sqrt(lambda) leaves the far field under a tenth of -log P_s at the
+paper's default optimum (about a quarter at 10/sqrt(lambda), since relays
+sit near d = 1/sqrt(lambda)), so the simulator still samples the
+interference it is checking.
 
-The per-trial sir and success columns come from the same draws (headings
-and fading sampled over the near field) and are diagnostics only.
-simulate_link_success keeps the raw SIR indicator as the independent check
-of the fading law.
+Batches and randomness: trials run in chunks of CHUNK, and each chunk owns
+one counter-based Philox substream keyed by (seed, stream tag, chunk index,
+attempt). Within a chunk the draw order is fixed: receiver counts, receiver
+positions (radius and angle uniforms in one call), interferer counts,
+interferer radii. log P_s of every trial is one bincount over the chunk's
+segments plus a vectorized far field. The kernel always draws a whole chunk
+and keeps the trials the run asks for, so trial i's sample depends only on
+(seed, i): not on the trial count, and not on the worker count. A chunk with
+an interferer on top of its relay (a measure-zero coincidence) is redrawn
+under the next attempt.
 
-Randomness: one counter-based Philox substream per trial, keyed by
-(seed, stream tag, trial index), so trials are independent, reproducible,
-and identical whether executed serially or in parallel. Fading is drawn
-through the inverse exponential CDF, which makes the SIR exactly invariant
-under changes of the fading rate mu.
+A trial record holds trial, relay_found, d, cos_offset and progress; there
+are no per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
+indicator (interferer positions, beam headings, sector coverage and fading
+all sampled) as the independent check of the fading law, batched in chunks
+on its own stream tag. Its fading is drawn through the inverse exponential
+CDF, which makes that SIR exactly invariant under changes of the fading
+rate mu; the trial kernel does not depend on mu at all.
 """
 
 from __future__ import annotations
@@ -58,8 +77,14 @@ _TAG_TRIAL = 0
 _TAG_LINK = 1
 _TAG_SAMPLE = 2
 
-#: CSV column order for per-trial streams.
-TRIAL_COLUMNS = ("trial", "relay_found", "d", "cos_offset", "sir", "success", "progress")
+#: Trials per substream. Fixed, so that a trial's sample depends on neither
+#: the trial count nor the worker count; small, so a chunk's arrays stay
+#: small (about 20k interferer radii at the default near field).
+CHUNK = 32
+
+#: CSV column order and schema version of per-trial streams.
+TRIAL_COLUMNS = ("trial", "relay_found", "d", "cos_offset", "progress")
+TRIAL_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,33 +145,17 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class PointConfiguration:
-    """A sampled network snapshot.
-
-    orientations is aligned with positions and holds NaN for receivers
-    (only transmitters own a beam heading).
-    """
-
-    positions: np.ndarray
-    is_transmitter: np.ndarray
-    orientations: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrialSample:
     """Per-trial outcome.
 
     progress is the conditional expected progress d*cos_offset*P_s (0 when
-    no relay is found); sir and success describe one fading draw over the
-    near field and are diagnostics only.
+    no relay is found).
     """
 
     trial: int
     relay_found: bool
     d: float
     cos_offset: float
-    sir: float
-    success: bool
     progress: float
 
 
@@ -177,6 +186,17 @@ def substream(seed: int, tag: int, index: int, attempt: int = 0) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _redrawn(draw, seed: int, tag: int, chunk: int):
+    """draw(rng) on the chunk's substream, under the next attempt while the
+    draw is degenerate."""
+    for attempt in range(100):
+        try:
+            return draw(substream(seed, tag, chunk, attempt))
+        except DegenerateSampleError:
+            continue
+    raise DegenerateSampleError(f"chunk {chunk} kept producing degenerate configurations")
+
+
 def sample_ppp(density: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
     """Homogeneous Poisson sample in a disk: Poisson count, uniform positions.
 
@@ -190,28 +210,6 @@ def sample_ppp(density: float, window_radius: float, rng: np.random.Generator) -
     radii = window_radius * np.sqrt(rng.random(n))
     angles = TWO_PI * rng.random(n)
     return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-
-
-def assign_roles(
-    positions: np.ndarray,
-    p: float,
-    rng: np.random.Generator,
-) -> PointConfiguration:
-    """Independent Bernoulli(p) thinning into transmitters and receivers.
-
-    Transmitters get i.i.d. uniform beam headings; receivers get NaN.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    n = len(positions)
-    is_tx = rng.random(n) < p
-    orientations = np.full(n, np.nan)
-    orientations[is_tx] = TWO_PI * rng.random(int(is_tx.sum()))
-    return PointConfiguration(
-        positions=np.asarray(positions, dtype=float),
-        is_transmitter=is_tx,
-        orientations=orientations,
-    )
 
 
 def _wrap_angle(x: np.ndarray | float):
@@ -261,175 +259,126 @@ def _exponential(rng: np.random.Generator, mu: float, size: int | None = None):
     return -np.log1p(-u) / mu
 
 
-def sir_at(
-    receiver_position: np.ndarray | tuple,
-    serving_position: np.ndarray | tuple,
-    serving_orientation: float,
-    config: PointConfiguration,
-    params: NetworkParams,
-    rng: np.random.Generator,
-    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> float:
-    """Signal-to-interference ratio of one link in a sampled network.
-
-    The serving transmitter is given explicitly (it is the Palm point, not
-    part of the sampled configuration) and must cover the receiver with its
-    sector. Interference sums faded power over the configuration's
-    transmitters whose sector covers the receiver (all transmitters for the
-    omnidirectional variant). No interferers means SIR = +inf. A
-    zero-distance interferer or link makes the sample degenerate and raises
-    DegenerateSampleError so the caller can redraw.
-    """
-    rx = np.asarray(receiver_position, dtype=float)
-    tx = np.asarray(serving_position, dtype=float)
-    d = float(np.hypot(*(rx - tx)))
-    if d == 0.0:
-        raise DegenerateSampleError("receiver coincides with its transmitter")
-    heading = math.atan2(rx[1] - tx[1], rx[0] - tx[0])
-    if abs(_wrap_angle(heading - serving_orientation)) > params.phi / 2.0:
-        raise DomainError("serving transmitter's sector does not cover the receiver")
-
-    tx_pos = config.positions[config.is_transmitter]
-    tx_orient = config.orientations[config.is_transmitter]
-    if variant is ProtocolVariant.DIRECTIONAL:
-        mask = sector_covers(tx_pos, tx_orient, rx, params.phi)
-    else:
-        mask = np.ones(len(tx_pos), dtype=bool)
-    interferers = tx_pos[mask]
-
-    signal = float(_exponential(rng, params.mu)) * d ** -params.alpha
-    if len(interferers) == 0:
-        return math.inf
-    dists = np.hypot(interferers[:, 0] - rx[0], interferers[:, 1] - rx[1])
-    if (dists == 0.0).any():
-        raise DegenerateSampleError("interferer coincides with the receiver")
-    fading = _exponential(rng, params.mu, len(interferers))
-    interference = float(np.sum(fading * dists ** -params.alpha))
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
+def _segments(counts: np.ndarray) -> np.ndarray:
+    """Trial index of each point of a chunk whose trial i holds counts[i]."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 # =====================================================================
-# trials and estimators
+# the trial kernel and estimators
 # =====================================================================
 
-def far_field_integral(s: float, alpha: float, radius: float) -> float:
+def far_field_integral(s, alpha: float, radius: float):
     """F(L) = integral over r > L of 2*pi*r * s*r^-alpha / (1 + s*r^-alpha).
 
     Termwise integration of the geometric series in -s*r^-alpha gives
     2*pi*s*L^(2-alpha)/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -s*L^-alpha);
-    scipy's hyp2f1 continues it analytically where s*L^-alpha > 1.
+    scipy's hyp2f1 continues it analytically where s*L^-alpha > 1. s may be
+    an array; a scalar s gives a float.
     """
-    if not (alpha > 2.0 and radius > 0.0 and s >= 0.0):
+    s = np.asarray(s, dtype=float)
+    if not (alpha > 2.0 and radius > 0.0 and np.all(s >= 0.0)):
         raise DomainError(
             f"far field needs alpha > 2, radius > 0, s >= 0; got {(alpha, radius, s)}"
         )
     a = 1.0 - 2.0 / alpha
-    hyp = float(_special.hyp2f1(1.0, a, 1.0 + a, -s * radius**-alpha))
-    return TWO_PI * s * radius ** (2.0 - alpha) / (alpha - 2.0) * hyp
+    hyp = _special.hyp2f1(1.0, a, 1.0 + a, -s * radius**-alpha)
+    value = TWO_PI * s * radius ** (2.0 - alpha) / (alpha - 2.0) * hyp
+    return float(value) if value.ndim == 0 else value
 
 
-def run_trial(
-    params: NetworkParams,
-    sim: SimConfig,
-    trial_index: int,
-    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> TrialSample:
-    """One Palm-viewpoint network draw; see the module docstring.
+def _chunk_relays(params: NetworkParams, sim: SimConfig, rng: np.random.Generator):
+    """Each trial's relay from receivers drawn in the selection region only.
 
-    Draw order within the trial's substream is fixed (receivers, relay
-    choice is deterministic, interferer positions, headings, fading), so a
-    given (seed, trial_index) always produces the identical sample. A
-    degenerate draw (measure-zero coincidence) is redrawn from a fresh
-    attempt substream.
+    Returns (found, d, cos_offset); d and cos_offset are nan where the
+    region holds no receiver.
     """
-    return _draw_trial(params, sim, trial_index, variant, (sim.guard_radius,))[0]
+    inner2 = params.r_m**2
+    span = max(sim.window_radius**2 - inner2, 0.0)
+    counts = rng.poisson((1.0 - params.p) * params.lam * 0.5 * params.phi * span, CHUNK)
+    u = rng.random((int(counts.sum()), 2))
+    # 1 - u lies in (0, 1], so every radius lies in (r_m, window]
+    dist = np.sqrt(inner2 + span * (1.0 - u[:, 0]))
+    found = counts > 0
+    d = np.full(CHUNK, math.nan)
+    cos_offset = np.full(CHUNK, math.nan)
+    # segment minimum, then the first point of each trial that attains it
+    starts = (np.cumsum(counts) - counts)[found]
+    d[found] = np.minimum.reduceat(dist, starts)
+    at_min = dist == np.repeat(d[found], counts[found])
+    nearest = np.minimum.reduceat(np.where(at_min, np.arange(len(dist)), len(dist)), starts)
+    cos_offset[found] = np.cos(params.phi * (u[nearest, 1] - 0.5))
+    return found, d, cos_offset
 
 
-def _draw_trial(
+def _chunk_progress(
     params: NetworkParams,
     sim: SimConfig,
-    trial_index: int,
-    variant: ProtocolVariant,
-    radii: tuple[float, ...],
-) -> list[TrialSample]:
-    """The trial's sample at each near-field radius, from common draws."""
-    for attempt in range(100):
-        rng = substream(sim.seed, _TAG_TRIAL, trial_index, attempt)
-        try:
-            return _run_trial_once(params, sim, trial_index, variant, radii, rng)
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError(
-        f"trial {trial_index} kept producing degenerate configurations"
-    )
-
-
-def _run_trial_once(
-    params: NetworkParams,
-    sim: SimConfig,
-    trial_index: int,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
     rng: np.random.Generator,
-) -> list[TrialSample]:
-    receivers = sample_ppp(
-        (1.0 - params.p) * params.lam, sim.window_radius, rng
-    )
-    relay = select_relay(receivers, params.phi, params.r_m)
-    if relay is None:
-        miss = TrialSample(
-            trial=trial_index,
-            relay_found=False,
-            d=math.nan,
-            cos_offset=math.nan,
-            sir=math.nan,
-            success=False,
-            progress=0.0,
-        )
-        return [miss] * len(radii)
-    d = float(np.hypot(*relay))
-    cos_offset = float(relay[0] / d)  # heading 0 points along +x
+):
+    """One chunk: (found, d, cos_offset, progress), with one progress row per
+    near-field radius, all from interferers drawn once in the widest disk.
 
-    # interferers are drawn once in the widest disk around the relay; a
-    # smaller radius keeps the points inside it, which is exactly its process
+    A smaller radius keeps the points inside it, which is exactly its
+    Poisson process, and integrates the rest.
+    """
+    found, d, cos_offset = _chunk_relays(params, sim, rng)
     widest = max(radii)
-    offsets = sample_ppp(params.p * params.lam, widest, rng)
-    config = assign_roles(offsets + relay, 1.0, rng)
-    sir = sir_at(relay, (0.0, 0.0), 0.0, config, params, rng, variant)
-    success = sir > params.beta
-
-    dists = np.hypot(offsets[:, 0], offsets[:, 1])
-    if (dists == 0.0).any():
+    counts = rng.poisson(params.p * params.lam * math.pi * widest**2, CHUNK)
+    dists = widest * np.sqrt(rng.random(int(counts.sum())))
+    if not dists.all():
         raise DegenerateSampleError("interferer coincides with the relay")
+    owner = _segments(counts)
     q = params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
-    s = params.beta * d**params.alpha
-    x = s * dists**-params.alpha
+    s = params.beta * np.where(found, d, 0.0) ** params.alpha
+    x = s[owner] * dists**-params.alpha
     log_pass = np.log1p((1.0 - q) * x) - np.log1p(x)
     density = params.p * params.lam * q
-    samples = []
-    for radius in radii:
-        log_ps = float(np.sum(log_pass[dists <= radius])) - density * far_field_integral(
-            s, params.alpha, radius
-        )
-        samples.append(
-            TrialSample(
-                trial=trial_index,
-                relay_found=True,
-                d=d,
-                cos_offset=cos_offset,
-                sir=sir,
-                success=success,
-                progress=d * cos_offset * math.exp(log_ps),
-            )
-        )
-    return samples
+    progress = np.empty((len(radii), CHUNK))
+    for row, radius in zip(progress, radii):
+        kept = log_pass if radius == widest else np.where(dists <= radius, log_pass, 0.0)
+        near = np.bincount(owner, kept, CHUNK)
+        log_ps = near - density * far_field_integral(s, params.alpha, radius)
+        row[:] = np.where(found, d * cos_offset * np.exp(log_ps), 0.0)
+    return found, d, cos_offset, progress
 
 
-def _collect_chunk(args) -> list[TrialSample]:
-    params, sim, variant, start, stop = args
-    return [run_trial(params, sim, i, variant) for i in range(start, stop)]
+def _trial_chunks(args) -> list:
+    """The kernel's results for chunks [start, stop), in chunk order."""
+    params, sim, variant, radii, start, stop = args
+    return [
+        _redrawn(
+            lambda rng: _chunk_progress(params, sim, variant, radii, rng),
+            sim.seed, _TAG_TRIAL, chunk,
+        )
+        for chunk in range(start, stop)
+    ]
+
+
+def _run_trials(
+    params: NetworkParams,
+    sim: SimConfig,
+    variant: ProtocolVariant,
+    radii: tuple[float, ...],
+    workers: int = 1,
+):
+    """(found, d, cos_offset, progress) of trials 0 .. sim.trials-1."""
+    chunks = math.ceil(sim.trials / CHUNK)
+    workers = worker_count(workers, chunks)
+    step = math.ceil(chunks / (workers * 4))
+    jobs = [
+        (params, sim, variant, radii, start, min(start + step, chunks))
+        for start in range(0, chunks, step)
+    ]
+    if workers <= 1:
+        parts = list(map(_trial_chunks, jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_trial_chunks, jobs))
+    results = [result for part in parts for result in part]
+    return tuple(np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results))
 
 
 def collect_trials(
@@ -440,29 +389,38 @@ def collect_trials(
 ) -> list[TrialSample]:
     """All trial samples in trial order, optionally across processes.
 
-    Trials own independent substreams and results are reassembled in index
+    Chunks own independent substreams and results are reassembled in chunk
     order, so the output is bit-identical for any worker count.
     """
     params.validate()
     sim.validate()
-    workers = worker_count(workers, sim.trials)
-    if workers <= 1:
-        return _collect_chunk((params, sim, variant, 0, sim.trials))
-    chunk = max(1, math.ceil(sim.trials / (workers * 4)))
-    jobs = [
-        (params, sim, variant, start, min(start + chunk, sim.trials))
-        for start in range(0, sim.trials, chunk)
+    found, d, cos_offset, progress = _run_trials(
+        params, sim, variant, (sim.guard_radius,), workers
+    )
+    return [
+        TrialSample(i, f, di, c, v)
+        for i, (f, di, c, v) in enumerate(
+            zip(found.tolist(), d.tolist(), cos_offset.tolist(), progress[0].tolist())
+        )
     ]
-    samples: list[TrialSample] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_collect_chunk, jobs):
-            samples.extend(part)
-    return samples
 
 
 def worker_count(requested: int, jobs: int) -> int:
     """Processes worth starting: no more than the jobs or the CPUs."""
     return min(requested, jobs, os.cpu_count() or 1)
+
+
+def _estimate(progress: np.ndarray, found: np.ndarray, params: NetworkParams) -> ProgressEstimate:
+    n = len(progress)
+    if n < 2:
+        raise DomainError("need at least 2 trials to form a std_error")
+    scale = params.p * params.lam
+    return ProgressEstimate(
+        mean=scale * float(np.mean(progress)),
+        std_error=scale * float(np.std(progress, ddof=1)) / math.sqrt(n),
+        trials_used=n,
+        relay_found_fraction=float(np.mean(found)),
+    )
 
 
 def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> ProgressEstimate:
@@ -472,19 +430,10 @@ def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> Progr
     (zeros included); the reduction uses numpy's pairwise summation over
     the trial-ordered array, so it is reproducible bit-for-bit.
     """
-    progress = np.array([s.progress for s in samples], dtype=float)
-    n = len(progress)
-    if n < 2:
-        raise DomainError("need at least 2 trials to form a std_error")
-    scale = params.p * params.lam
-    mean = scale * float(np.mean(progress))
-    std_error = scale * float(np.std(progress, ddof=1)) / math.sqrt(n)
-    found = float(np.mean([s.relay_found for s in samples]))
-    return ProgressEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials_used=n,
-        relay_found_fraction=found,
+    return _estimate(
+        np.array([s.progress for s in samples], dtype=float),
+        np.array([s.relay_found for s in samples], dtype=bool),
+        params,
     )
 
 
@@ -521,7 +470,30 @@ def estimate_density_of_progress(
     preconditions enforced on entry.
     """
     validate_for_estimation(params, sim)
-    return summarize_trials(collect_trials(params, sim, variant, workers), params)
+    found, _, _, progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)
+    return _estimate(progress[0], found, params)
+
+
+def guard_sensitivity(
+    params: NetworkParams,
+    sim: SimConfig,
+    guards: list[float],
+    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
+) -> list[ProgressEstimate]:
+    """Progress estimates under several near-field radii with common draws.
+
+    The kernel draws each chunk's interferer radii once in the widest disk
+    and masks them per radius; a smaller radius integrates the rest
+    exactly, so every radius sees exactly its Poisson process. The
+    estimator is unbiased at any radius, so the estimates may differ only
+    by the small noise the radii do not share.
+    """
+    params.validate()
+    sim.validate()
+    if not guards:
+        raise DomainError("need at least one guard radius")
+    found, _, _, progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
+    return [_estimate(row, found, params) for row in progress]
 
 
 # =====================================================================
@@ -537,7 +509,9 @@ def sample_relay_distances(
     """Relay distances over independent draws (NaN when no relay exists).
 
     Geometry only - no interference - so it is cheap enough for
-    distribution tests against the relay-distance CDF.
+    distribution tests against the relay-distance CDF. Receivers fill the
+    whole window and select_relay picks the relay, independently of the
+    trial kernel's draw restricted to the selection region.
     """
     params.validate()
     out = np.empty(trials)
@@ -547,6 +521,44 @@ def sample_relay_distances(
         relay = select_relay(receivers, params.phi, params.r_m)
         out[i] = math.nan if relay is None else float(np.hypot(*relay))
     return out
+
+
+def link_sir(
+    d: float,
+    offsets: np.ndarray,
+    headings: np.ndarray,
+    counts: np.ndarray,
+    params: NetworkParams,
+    rng: np.random.Generator,
+    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
+) -> np.ndarray:
+    """SIR of a fixed-length link in each trial of a chunk.
+
+    The receiver sits at the origin with its serving transmitter d away,
+    aimed at it. offsets holds the interferer positions of every trial, in
+    trial order, counts[i] of them for trial i, and headings their beam
+    headings. Interference sums faded power over the interferers whose
+    sector covers the receiver (all of them for the omnidirectional
+    variant). Fading is drawn from rng: one Exp(mu) per trial for the
+    signal, then one per interferer. A trial without interference gets
+    SIR = +inf. A zero-length link or an interferer on the receiver makes
+    the chunk degenerate and raises DegenerateSampleError so the caller can
+    redraw.
+    """
+    if d == 0.0:
+        raise DegenerateSampleError("receiver coincides with its transmitter")
+    offsets = np.asarray(offsets, dtype=float).reshape(-1, 2)
+    dists = np.hypot(offsets[:, 0], offsets[:, 1])
+    if not dists.all():
+        raise DegenerateSampleError("interferer coincides with the receiver")
+    signal = _exponential(rng, params.mu, len(counts)) * d**-params.alpha
+    power = _exponential(rng, params.mu, len(dists)) * dists**-params.alpha
+    if variant is ProtocolVariant.DIRECTIONAL:
+        power[~sector_covers(offsets, headings, (0.0, 0.0), params.phi)] = 0.0
+    interference = np.bincount(_segments(counts), power, len(counts))
+    return np.divide(
+        signal, interference, out=np.full(len(counts), math.inf), where=interference > 0.0
+    )
 
 
 def simulate_link_success(
@@ -561,44 +573,29 @@ def simulate_link_success(
 
     The receiver sits at the origin with its serving transmitter d away and
     aimed at it; interferers are a fresh Poisson draw per trial inside
-    interference_radius around the receiver. Returns (estimate, std_error).
+    interference_radius around the receiver, with uniform beam headings.
+    Trials run in chunks of CHUNK on the link stream (counts, then radius,
+    angle and heading uniforms in one call, then link_sir's fading).
+    Returns (estimate, std_error).
     """
     params.validate()
     if d <= 0:
         raise DomainError(f"link distance must be > 0, got {d}")
+    if interference_radius <= 0:
+        raise DomainError(f"interference_radius must be > 0, got {interference_radius}")
+    mean_count = params.p * params.lam * math.pi * interference_radius**2
+
+    def draw(rng):
+        counts = rng.poisson(mean_count, CHUNK)
+        u = rng.random((int(counts.sum()), 3))
+        radius = interference_radius * np.sqrt(u[:, 0])
+        angle = TWO_PI * u[:, 1]
+        offsets = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+        return link_sir(d, offsets, TWO_PI * u[:, 2], counts, params, rng, variant)
+
     successes = 0
-    for i in range(trials):
-        rng = substream(seed, _TAG_LINK, i)
-        others = sample_ppp(params.p * params.lam, interference_radius, rng)
-        config = assign_roles(others, 1.0, rng)
-        sir = sir_at((0.0, 0.0), (-d, 0.0), 0.0, config, params, rng, variant)
-        if sir > params.beta:
-            successes += 1
+    for chunk in range(math.ceil(trials / CHUNK)):
+        sir = _redrawn(draw, seed, _TAG_LINK, chunk)[: trials - chunk * CHUNK]
+        successes += int(np.count_nonzero(sir > params.beta))
     p_hat = successes / trials
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / trials)
-
-
-def guard_sensitivity(
-    params: NetworkParams,
-    sim: SimConfig,
-    guards: list[float],
-    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> list[ProgressEstimate]:
-    """Progress estimates under several near-field radii with common draws.
-
-    Each trial runs the trial kernel once with interferers drawn in the
-    widest disk; a smaller radius keeps the points inside it and integrates
-    the rest exactly, so every radius sees exactly its Poisson process. The
-    estimator is unbiased at any radius, so the estimates may differ only by
-    the small noise the radii do not share.
-    """
-    params.validate()
-    sim.validate()
-    if not guards:
-        raise DomainError("need at least one guard radius")
-    radii = tuple(float(g) for g in guards)
-    per_guard: list[list[TrialSample]] = [[] for _ in radii]
-    for i in range(sim.trials):
-        for samples, sample in zip(per_guard, _draw_trial(params, sim, i, variant, radii)):
-            samples.append(sample)
-    return [summarize_trials(samples, params) for samples in per_guard]

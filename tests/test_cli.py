@@ -335,7 +335,7 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
-    assert trial_schema == "# schema: sectorrelay.simulate_trials v1"
+    assert trial_schema == "# schema: sectorrelay.simulate_trials v2"
     assert len(trial_rows) == 150
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
@@ -349,6 +349,20 @@ def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
     rc = cli.main(["simulate", "--trials", "50", "--outdir", str(tmp_path)])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig5", "--simulate", "--trials", "50", "--phi-grid", "1.0"],
+        ["simulate", "--trials", "50"],
+    ],
+    ids=["fig5", "simulate"],
+)
+def test_rejected_run_creates_no_outdir(tmp_path, argv):
+    outdir = tmp_path / "out"
+    assert cli.main(argv + ["--outdir", str(outdir)]) == 2
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------
