@@ -77,6 +77,11 @@ def success_probability(
     params.validate()
     if d < 0:
         raise DomainError(f"link distance must be >= 0, got {d}")
+    return _success_probability(params, d, variant)
+
+
+def _success_probability(params: NetworkParams, d: float, variant: ProtocolVariant) -> float:
+    """success_probability without the checks, for valid params and d >= 0."""
     t = spatial_interference_constant(params.alpha, params.beta)
     return math.exp(-interferer_density(params, variant) * t * d * d)
 
@@ -108,6 +113,11 @@ def relay_distance_pdf(params: NetworkParams, r: float) -> float:
         raise DomainError(
             f"relay distance {r} below the reference distance r_m={params.r_m}"
         )
+    return _relay_distance_pdf(params, r)
+
+
+def _relay_distance_pdf(params: NetworkParams, r: float) -> float:
+    """relay_distance_pdf without the checks, for valid params and r >= r_m."""
     rate = params.lam * (1.0 - params.p) * params.phi / 2.0
     return (
         params.lam
@@ -188,18 +198,19 @@ def expected_density_numeric(
 
     Integrates p*lambda * P_s(x) * x * f_d(x) over [r_m, inf) numerically,
     with the heading average done analytically: the mean of cos over a
-    uniform offset in [-phi/2, phi/2] is (2/phi)*sin(phi/2). Uses the cdf/pdf
-    and success-probability routines as black boxes so the route stays
-    independent of the closed form.
+    uniform offset in [-phi/2, phi/2] is (2/phi)*sin(phi/2). Uses the pdf
+    and success-probability formulas as black boxes so the route stays
+    independent of the closed form; it calls their unchecked bodies, since
+    params is validated once here and every node lies in [r_m, inf).
     """
     params.validate()
     angular_mean = 2.0 / params.phi * math.sin(params.phi / 2.0)
 
     def integrand(x: float) -> float:
         return (
-            success_probability(params, x, variant)
+            _success_probability(params, x, variant)
             * x
-            * relay_distance_pdf(params, x)
+            * _relay_distance_pdf(params, x)
         )
 
     quad = specfun.integrate_semi_infinite(integrand, params.r_m)

@@ -64,6 +64,10 @@ PARAMS_GROUP = "network parameters"
 
 SWEEPABLE_KEYS = ("lambda", "alpha", "beta_db", "beta", "mu", "p", "phi", "r_m")
 
+#: Largest relative gap between a sweep row's closed form and its
+#: quadrature twin that still counts as agreement.
+TWIN_RTOL = 1e-7
+
 
 # =====================================================================
 # small helpers: formatting, CSV, grids, guarded rows
@@ -269,6 +273,13 @@ def _row_sweep(value: float, params: NetworkParams, settings: dict) -> tuple:
         return tuple(row + [_certified_status(best)])
     closed = analytic.expected_density_closed(trial, variant)
     numeric = analytic.expected_density_numeric(trial, variant)
+    if not abs(closed - numeric) <= TWIN_RTOL * abs(closed):
+        gap = abs(closed - numeric) / abs(closed) if closed else math.inf
+        return (
+            value, closed, numeric,
+            f"error: closed form and quadrature differ by {gap:.3g} relative "
+            f"(more than {TWIN_RTOL:g})",
+        )
     return (value, closed, numeric, "ok")
 
 

@@ -19,10 +19,11 @@ in p and gives p exactly,
 which lies in (0, 1) for every u > 0 and tau > 0. The joint optimum is the
 one sign change of dlogF/dp along that curve: negative as u -> 0, positive
 as u -> inf. The bracket is found by halving and doubling u from 1, and
-brentq narrows it to a relative width of U_RTOL; a sign change narrowed
-that far is the certificate. optimize_rm finds the root of the radial
-condition in u at fixed p the same way. The test suite checks both against
-brute-force grids on the closed form.
+Brent's method (_brent, a port of scipy's brentq) narrows it to a
+relative width of U_RTOL; a sign change narrowed that far is the
+certificate. optimize_rm finds the root of the radial condition in u at
+fixed p the same way. The test suite checks both against brute-force
+grids on the closed form.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import optimize as _sciopt
-
 from . import analytic, specfun
 from .errors import DomainError, RootFindError
 from .model import (
@@ -44,7 +43,8 @@ from .model import (
     radial_decay_rate,
 )
 
-#: Relative width to which brentq narrows a bracket in u (its smallest rtol).
+#: Relative width to which Brent's method narrows a bracket in u (the
+#: smallest rtol scipy's brentq accepts).
 U_RTOL = 4.0 * sys.float_info.epsilon
 
 
@@ -53,10 +53,10 @@ class OptimizationResult:
     """Outcome of an optimization run.
 
     converged is True when the optimum sits in a sign change of the
-    objective's slope in u that brentq narrowed to a relative width of
-    U_RTOL: the optimum is then certified. iterations counts the bracket
-    steps and the brentq iterations. residual_rm and residual_p are the
-    stationarity residuals at the optimum, evaluated at the variant's
+    objective's slope in u that Brent's method narrowed to a relative
+    width of U_RTOL: the optimum is then certified. iterations counts the
+    bracket steps and the Brent iterations. residual_rm and residual_p are
+    the stationarity residuals at the optimum, evaluated at the variant's
     effective interference constant. Fixed-p searches (optimize_rm) report
     p_star None and residual_p nan.
     """
@@ -103,12 +103,63 @@ def _radial_slope(u: float, p: float, tau: float) -> float:
     return specfun.gamma_upper_half_scaled(u) / 2.0 * (1.0 - p) - p * tau * math.sqrt(u)
 
 
+def _brent(
+    f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
+    xtol: float, rtol: float, maxiter: int = 100,
+) -> tuple[float, int, bool]:
+    """Brent's root of f in [xa, xb], where f(xa) = fa and f(xb) = fb are
+    nonzero and of opposite sign.
+
+    Statement for statement the algorithm of scipy's brentq (zeros/brentq.c),
+    so it takes the same steps: inverse quadratic or secant steps while
+    they shrink the bracket fast enough, bisection otherwise, until the
+    bracket is narrower than xtol + rtol*|x|. Returns (root, iterations,
+    converged); converged is False after maxiter iterations.
+    """
+    xpre, xcur, fpre, fcur = xa, xb, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    return xcur, maxiter, False
+
+
 def _ascent_root(slope: Callable[[float], float]) -> tuple[float, int, bool]:
     """Root of a slope that is positive below it and negative above it.
 
     Halves u from 1 until the slope is positive and doubles it until the
-    slope is negative, then narrows that bracket with brentq. Returns
-    (u, iterations, converged). Raises RootFindError, with the probed u
+    slope is negative, then narrows that bracket with Brent's method.
+    Returns (u, iterations, converged). Raises RootFindError, with the probed u
     values and slopes as its sign map, when halving reaches 0 or doubling
     reaches inf first.
     """
@@ -126,12 +177,14 @@ def _ascent_root(slope: Callable[[float], float]) -> tuple[float, int, bool]:
     lo = hi = 1.0
     while not probe(lo) > 0.0:
         lo, hi = lo / 2.0, lo
+    f_lo = probes[-1][1]
     while not probe(hi) < 0.0:
         lo, hi = hi, 2.0 * hi
-    u, info = _sciopt.brentq(
-        slope, lo, hi, xtol=U_RTOL * lo, rtol=U_RTOL, full_output=True, disp=False
+        f_lo = probes[-1][1]
+    u, iterations, converged = _brent(
+        slope, lo, hi, f_lo, probes[-1][1], xtol=U_RTOL * lo, rtol=U_RTOL
     )
-    return u, len(probes) + info.iterations, info.converged
+    return u, len(probes) + iterations, converged
 
 
 def _stationary_point(t: float) -> tuple[float, float, int, bool]:
@@ -149,11 +202,13 @@ def solve_stationary_system(t: float) -> tuple[float, float]:
     Defined for every t > 0: p comes from the radial condition, u from the
     one sign change of dlogF/dp along it (see the module docstring). The
     beamwidth does not enter. Raises RootFindError when no bracket turns
-    up or brentq does not converge in it.
+    up or Brent's method does not converge in it.
     """
     p, u, _, converged = _stationary_point(t)
     if not converged:
-        raise RootFindError(f"brentq did not converge on the stationary point for t={t:.6g}")
+        raise RootFindError(
+            f"Brent's method did not converge on the stationary point for t={t:.6g}"
+        )
     return p, u
 
 

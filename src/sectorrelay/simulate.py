@@ -41,12 +41,13 @@ Batches and randomness: trials run in chunks of CHUNK, and each chunk owns
 one counter-based Philox substream keyed by (seed, stream tag, chunk index,
 attempt). Within a chunk the draw order is fixed: receiver counts, receiver
 positions (radius and angle uniforms in one call), interferer counts,
-interferer radii. log P_s of every trial is one bincount over the chunk's
-segments plus a vectorized far field. The kernel always draws a whole chunk
-and keeps the trials the run asks for, so trial i's sample depends only on
-(seed, i): not on the trial count, and not on the worker count. A chunk with
-an interferer on top of its relay (a measure-zero coincidence) is redrawn
-under the next attempt.
+interferer radii. The near-field part of log P_s of every trial is one
+bincount over the chunk's segments; the far field is evaluated once per
+run, vectorized over all trials after the chunks are joined. The kernel
+always draws a whole chunk and keeps the trials the run asks for, so trial
+i's sample depends only on (seed, i): not on the trial count, and not on
+the worker count. A chunk with an interferer on top of its relay (a
+measure-zero coincidence) is redrawn under the next attempt.
 
 A trial record holds trial, relay_found, d, cos_offset and progress; there
 are no per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
@@ -65,7 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
+import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
 from .model import NetworkParams, ProtocolVariant
@@ -268,23 +269,60 @@ def _segments(counts: np.ndarray) -> np.ndarray:
 # the trial kernel and estimators
 # =====================================================================
 
+def _pfaff_series(w: np.ndarray, c: float) -> np.ndarray:
+    """2F1(1, 1; c; w) = sum over n of n!/(c)_n * w^n, for 0 <= w <= 1/2, c > 1.
+
+    Term n is at most w^n and the sum at least 1, so once w^n <= 2^-54 a
+    term lies below half an ulp of the sum and adding it changes nothing.
+    The sum runs forwards until that holds for the largest w, so each
+    element's value depends only on that element, not on the others.
+    """
+    total = np.ones_like(w)
+    w_max = float(w.max()) if w.size else 0.0
+    if w_max == 0.0:
+        return total
+    term = np.ones_like(w)
+    for n in range(math.ceil(54.0 * math.log(2.0) / -math.log(w_max)) + 1):
+        term *= (n + 1.0) / (c + n)
+        term *= w
+        total += term
+    return total
+
+
 def far_field_integral(s, alpha: float, radius: float):
     """F(L) = integral over r > L of 2*pi*r * s*r^-alpha / (1 + s*r^-alpha).
 
-    Termwise integration of the geometric series in -s*r^-alpha gives
-    2*pi*s*L^(2-alpha)/(alpha-2) * 2F1(1, 1-2/alpha; 2-2/alpha; -s*L^-alpha);
-    scipy's hyp2f1 continues it analytically where s*L^-alpha > 1. s may be
-    an array; a scalar s gives a float.
+    With v = s*r^-alpha, F = (2*pi/alpha) * s^(2/alpha) * G_a(z) for
+    z = s*L^-alpha and a = 1 - 2/alpha, where
+    G_a(z) = integral over (0, z) of v^(a-1)/(1+v) dv
+           = z^a / (a*(1+z)) * 2F1(1, 1; 1+a; z/(1+z))
+    by Pfaff's transformation. For z <= 1 that series runs in
+    w = z/(1+z) <= 1/2, and F = 2*pi*s*L^(2-alpha)/(alpha-2) * 2F1/(1+z).
+    For z > 1, G_a(z) = pi/sin(pi*a) - G_(1-a)(1/z), whose series again
+    runs in w <= 1/2. s may be an array; a scalar s gives a float.
     """
     s = np.asarray(s, dtype=float)
     if not (alpha > 2.0 and radius > 0.0 and np.all(s >= 0.0)):
         raise DomainError(
             f"far field needs alpha > 2, radius > 0, s >= 0; got {(alpha, radius, s)}"
         )
-    a = 1.0 - 2.0 / alpha
-    hyp = _special.hyp2f1(1.0, a, 1.0 + a, -s * radius**-alpha)
-    value = TWO_PI * s * radius ** (2.0 - alpha) / (alpha - 2.0) * hyp
-    return float(value) if value.ndim == 0 else value
+    # a = 1 - 2/alpha and b = 1 - a, each without cancellation
+    a, b = (alpha - 2.0) / alpha, 2.0 / alpha
+    flat = s.reshape(-1)
+    z = flat * radius**-alpha
+    value = np.empty_like(z)
+    inner = z <= 1.0
+    zi = z[inner]
+    value[inner] = (
+        TWO_PI * flat[inner] * radius ** (2.0 - alpha) / (alpha - 2.0)
+        * _pfaff_series(zi / (1.0 + zi), 1.0 + a) / (1.0 + zi)
+    )
+    y = 1.0 / z[~inner]
+    tail = y**b / (b * (1.0 + y)) * _pfaff_series(y / (1.0 + y), 1.0 + b)
+    value[~inner] = TWO_PI / alpha * flat[~inner] ** b * (
+        math.pi / math.sin(math.pi * min(a, b)) - tail
+    )
+    return float(value[0]) if s.ndim == 0 else value.reshape(s.shape)
 
 
 def _chunk_relays(params: NetworkParams, sim: SimConfig, rng: np.random.Generator):
@@ -311,38 +349,72 @@ def _chunk_relays(params: NetworkParams, sim: SimConfig, rng: np.random.Generato
     return found, d, cos_offset
 
 
-def _chunk_progress(
+def _chunk_near_field(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
     rng: np.random.Generator,
 ):
-    """One chunk: (found, d, cos_offset, progress), with one progress row per
-    near-field radius, all from interferers drawn once in the widest disk.
+    """One chunk: (found, d, cos_offset, near), where near holds one row of
+    near-field log P_s per radius, all from interferers drawn once in the
+    widest disk.
 
     A smaller radius keeps the points inside it, which is exactly its
-    Poisson process, and integrates the rest.
+    Poisson process; _with_far_field integrates the rest.
     """
     found, d, cos_offset = _chunk_relays(params, sim, rng)
     widest = max(radii)
     counts = rng.poisson(params.p * params.lam * math.pi * widest**2, CHUNK)
-    dists = widest * np.sqrt(rng.random(int(counts.sum())))
+    # in place where possible: every array here is the size of the chunk's
+    # interferer count, and fresh ones cost page faults
+    dists = rng.random(int(counts.sum()))
+    np.sqrt(dists, out=dists)
+    dists *= widest
     if not dists.all():
         raise DegenerateSampleError("interferer coincides with the relay")
     owner = _segments(counts)
-    q = params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
-    s = params.beta * np.where(found, d, 0.0) ** params.alpha
-    x = s[owner] * dists**-params.alpha
-    log_pass = np.log1p((1.0 - q) * x) - np.log1p(x)
-    density = params.p * params.lam * q
-    progress = np.empty((len(radii), CHUNK))
-    for row, radius in zip(progress, radii):
+    q = _coverage(params, variant)
+    x = dists**-params.alpha
+    x *= _link_scale(params, found, d)[owner]
+    log_pass = x * (1.0 - q)
+    np.log1p(log_pass, out=log_pass)
+    log_pass -= np.log1p(x, out=x)
+    near = np.empty((len(radii), CHUNK))
+    for row, radius in zip(near, radii):
         kept = log_pass if radius == widest else np.where(dists <= radius, log_pass, 0.0)
-        near = np.bincount(owner, kept, CHUNK)
-        log_ps = near - density * far_field_integral(s, params.alpha, radius)
+        row[:] = np.bincount(owner, kept, CHUNK)
+    return found, d, cos_offset, near
+
+
+def _coverage(params: NetworkParams, variant: ProtocolVariant) -> float:
+    """Probability that a transmitter's sector covers a given point."""
+    return params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
+
+
+def _link_scale(params: NetworkParams, found: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """s = beta*d^alpha of each trial's link (0 where no relay was found)."""
+    return params.beta * np.where(found, d, 0.0) ** params.alpha
+
+
+def _with_far_field(
+    params: NetworkParams,
+    variant: ProtocolVariant,
+    radii: tuple[float, ...],
+    found: np.ndarray,
+    d: np.ndarray,
+    cos_offset: np.ndarray,
+    near: np.ndarray,
+) -> np.ndarray:
+    """Progress d*cos_offset*P_s, one row per radius: each row of near-field
+    log P_s plus the exact far field beyond its radius."""
+    s = _link_scale(params, found, d)
+    density = params.p * params.lam * _coverage(params, variant)
+    progress = np.empty_like(near)
+    for row, logs, radius in zip(progress, near, radii):
+        log_ps = logs - density * far_field_integral(s, params.alpha, radius)
         row[:] = np.where(found, d * cos_offset * np.exp(log_ps), 0.0)
-    return found, d, cos_offset, progress
+    return progress
 
 
 def _trial_chunks(args) -> list:
@@ -350,7 +422,7 @@ def _trial_chunks(args) -> list:
     params, sim, variant, radii, start, stop = args
     return [
         _redrawn(
-            lambda rng: _chunk_progress(params, sim, variant, radii, rng),
+            lambda rng: _chunk_near_field(params, sim, variant, radii, rng),
             sim.seed, _TAG_TRIAL, chunk,
         )
         for chunk in range(start, stop)
@@ -364,7 +436,11 @@ def _run_trials(
     radii: tuple[float, ...],
     workers: int = 1,
 ):
-    """(found, d, cos_offset, progress) of trials 0 .. sim.trials-1."""
+    """(found, d, cos_offset, progress) of trials 0 .. sim.trials-1.
+
+    The chunks draw and sum the near field; the far field is evaluated
+    once over all trials after they are joined.
+    """
     chunks = math.ceil(sim.trials / CHUNK)
     workers = worker_count(workers, chunks)
     step = math.ceil(chunks / (workers * 4))
@@ -378,7 +454,11 @@ def _run_trials(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_chunks, jobs))
     results = [result for part in parts for result in part]
-    return tuple(np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results))
+    found, d, cos_offset, near = (
+        np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
+    )
+    progress = _with_far_field(params, variant, radii, found, d, cos_offset, near)
+    return found, d, cos_offset, progress
 
 
 def collect_trials(

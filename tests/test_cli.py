@@ -9,6 +9,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,6 +262,21 @@ def test_sweep_rejects_out_of_range_value_per_row(tmp_path):
     assert "p" in rows[1]["status"]
 
 
+def test_sweep_twin_disagreement_is_an_error_row(tmp_path):
+    # the integrand's mass sits in a sliver of [r_m, inf) that the
+    # quadrature misses: it returns 0 where the closed form is 2.0e-4
+    rc = cli.main([
+        "sweep", "--param", "r_m", "--values", "30", "--lambda", "1000",
+        "--p", "1e-4", "--beta-db", "-30", "--alpha", "2.2", "--phi", "6.2",
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 3
+    _, rows = read_table(tmp_path / "sweep.csv")
+    assert float(rows[0]["edp_closed"]) == pytest.approx(2.00917583687e-4, rel=1e-10)
+    assert float(rows[0]["edp_numeric"]) == 0.0
+    assert rows[0]["status"].startswith("error: closed form and quadrature differ")
+
+
 # ---------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------
@@ -474,3 +492,47 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert sectorrelay.__version__ in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------
+# runtime dependencies
+# ---------------------------------------------------------------------
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import sectorrelay
+import sectorrelay.cli
+
+out = sys.argv[1]
+codes = [
+    sectorrelay.cli.main(argv + ["--outdir", out])
+    for argv in (
+        ["fig34"],
+        ["fig5", "--simulate", "--trials", "200"],
+        ["sweep", "--param", "r_m", "--values", "0:1.2:7", "--alpha", "2.5", "--beta-db", "-10"],
+    )
+]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: blocking its import must not matter
+    src = Path(sectorrelay.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": []}

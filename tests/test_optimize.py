@@ -309,3 +309,26 @@ def test_p_constancy_across_beamwidths():
         assert row.objective_omni < row.objective
     rms = [row.rm_star for row in report.rows]
     assert all(a > b for a, b in zip(rms, rms[1:]))
+
+
+@pytest.mark.parametrize("t", list(np.geomspace(1e-3, 1e4, 60)))
+def test_brent_port_matches_scipy_brentq(t):
+    # same bracket, same tolerances: the port must take brentq's steps
+    tau = t / math.pi
+
+    def slope(u):
+        return optimize._ridge_slope(u, tau)
+
+    lo = hi = 1.0
+    while not slope(lo) > 0.0:
+        lo, hi = lo / 2.0, lo
+    while not slope(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+    root, info = brentq(
+        slope, lo, hi, xtol=optimize.U_RTOL * lo, rtol=optimize.U_RTOL,
+        full_output=True, disp=False,
+    )
+    got = optimize._brent(
+        slope, lo, hi, slope(lo), slope(hi), optimize.U_RTOL * lo, optimize.U_RTOL
+    )
+    assert got == (root, info.iterations, info.converged)

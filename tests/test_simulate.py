@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from sectorrelay import analytic, simulate, specfun
 from sectorrelay.errors import (
@@ -343,10 +343,14 @@ def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     chunk = simulate.CHUNK
     sim = simulate.SimConfig(window_radius=6.0, trials=3 * chunk, seed=5, guard_radius=10.0)
     clean = simulate.collect_trials(BASE, sim)
-    attempt1 = simulate._chunk_progress(
-        BASE, sim, ProtocolVariant.DIRECTIONAL, (sim.guard_radius,),
-        simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1),
-    )[3][0]
+    radii = (sim.guard_radius,)
+    attempt1 = simulate._with_far_field(
+        BASE, ProtocolVariant.DIRECTIONAL, radii,
+        *simulate._chunk_near_field(
+            BASE, sim, ProtocolVariant.DIRECTIONAL, radii,
+            simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1),
+        ),
+    )[0]
     cells = _force_degenerate(monkeypatch, 1)
     first = simulate.collect_trials(BASE, sim)
     second = simulate.collect_trials(BASE, sim)
@@ -441,6 +445,24 @@ def test_far_field_integral_matches_quadrature(alpha, s, radius):
     )
     got = simulate.far_field_integral(s, alpha, radius)
     assert got == pytest.approx(quad.value, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [2.01, 2.1, 2.5, 3.0, 4.0, 8.0, 50.0])
+def test_far_field_integral_matches_hyp2f1(alpha):
+    # oracle: the termwise-integrated form through scipy's hyp2f1, on both
+    # sides of z = s*L^-alpha = 1 where the series changes branch
+    radius = 1.3
+    z = np.concatenate((np.geomspace(1e-12, 1e12, 49), [1.0, np.nextafter(1.0, 2.0)]))
+    s = z * radius**alpha
+    a = 1.0 - 2.0 / alpha
+    oracle = (
+        2 * math.pi * s * radius ** (2.0 - alpha) / (alpha - 2.0)
+        * special.hyp2f1(1.0, a, 1.0 + a, -z)
+    )
+    got = simulate.far_field_integral(s, alpha, radius)
+    np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
+    assert [simulate.far_field_integral(float(x), alpha, radius) for x in s] == got.tolist()
+    assert simulate.far_field_integral(0.0, alpha, radius) == 0.0
 
 
 def test_far_field_integral_domain_errors():

@@ -96,6 +96,14 @@ def test_gamma_half_scaled_against_mpmath():
         specfun.gamma_upper_half_scaled(-1.0)
 
 
+def test_gamma_half_scaled_continued_fraction_branch_against_mpmath():
+    # from x = 16 on, the value comes from the continued fraction
+    for x in np.concatenate(([16.0, 16.5, 20.0, 50.0], np.geomspace(100.0, 1e300, 40))):
+        x = float(x)
+        oracle = float(mpmath.exp(x) * mpmath.gammainc(0.5, x))
+        assert specfun.gamma_upper_half_scaled(x) == pytest.approx(oracle, rel=1e-13)
+
+
 def test_gamma_scaled_form_survives_huge_argument():
     # exp(x)*Gamma(3/2, x) ~ sqrt(x) + 1/(2 sqrt(x)) as x -> inf; the
     # unscaled product overflows near x = 709 but the scaled form must not
@@ -149,3 +157,35 @@ def test_quadrature_divergent_integrand_raises():
 def test_quadrature_rejects_nonfinite_lower_limit():
     with pytest.raises(DomainError):
         specfun.integrate_semi_infinite(lambda u: math.exp(-u), math.inf)
+
+
+# every case below reaches qagi's Wynn extrapolation, which the power-law
+# tails need to meet 1e-12; the last one exhausts its 200 subdivisions
+QUADPACK_CASES = [
+    (lambda u: math.exp(-u), 0.0, 1e-10),
+    (lambda u: u * math.exp(-u), 2.0, 1e-10),
+    (lambda u: math.exp(-u) / math.sqrt(u) if u > 0 else 0.0, 0.0, 1e-10),
+    (lambda u: 1.0 / (1.0 + u) ** 1.1, 0.0, 1e-10),
+    (lambda r: 2 * math.pi * r * 3.0 * r**-2.1 / (1 + 3.0 * r**-2.1), 1.0, 1e-12),
+    (lambda r: 2 * math.pi * r * 1e3 * r**-2.01 / (1 + 1e3 * r**-2.01), 2.0, 1e-12),
+    (lambda r: 2 * math.pi * r * 0.5 * r**-5.0 / (1 + 0.5 * r**-5.0), 10.0, 1e-12),
+    (lambda u: math.sin(u) / (1.0 + u * u), 0.0, 1e-10),
+]
+
+
+@pytest.mark.parametrize("f, lower, rel_tol", QUADPACK_CASES)
+def test_quadrature_matches_quadpack(f, lower, rel_tol):
+    # oracle: scipy's compiled QUADPACK, which the Python port must follow
+    # step for step
+    oracle = integrate.quad(
+        f, lower, np.inf, epsabs=0.0, epsrel=rel_tol, limit=200, full_output=1
+    )
+    if len(oracle) > 3:
+        with pytest.raises(QuadratureError):
+            specfun.integrate_semi_infinite(f, lower, rel_tol)
+        return
+    value, abserr, info = oracle
+    res = specfun.integrate_semi_infinite(f, lower, rel_tol)
+    assert res.value == pytest.approx(value, rel=4e-16, abs=0.0)
+    assert res.abs_error_estimate == pytest.approx(abserr, rel=1e-12)
+    assert res.evaluations == info["neval"]
