@@ -38,6 +38,7 @@ from .model import (
     ProtocolVariant,
     effective_interference_constant,
     radial_decay_rate,
+    relay_rate,
     spatial_interference_constant,
 )
 
@@ -98,8 +99,7 @@ def relay_distance_cdf(params: NetworkParams, r: float) -> float:
         raise DomainError(
             f"relay distance {r} below the reference distance r_m={params.r_m}"
         )
-    rate = params.lam * (1.0 - params.p) * params.phi / 2.0
-    return -math.expm1(-rate * (r * r - params.r_m**2))
+    return -math.expm1(-relay_rate(params) * (r * r - params.r_m**2))
 
 
 def relay_distance_pdf(params: NetworkParams, r: float) -> float:
@@ -118,14 +118,8 @@ def relay_distance_pdf(params: NetworkParams, r: float) -> float:
 
 def _relay_distance_pdf(params: NetworkParams, r: float) -> float:
     """relay_distance_pdf without the checks, for valid params and r >= r_m."""
-    rate = params.lam * (1.0 - params.p) * params.phi / 2.0
-    return (
-        params.lam
-        * (1.0 - params.p)
-        * params.phi
-        * r
-        * math.exp(-rate * (r * r - params.r_m**2))
-    )
+    b = relay_rate(params)
+    return 2.0 * b * r * math.exp(-b * (r * r - params.r_m**2))
 
 
 # =====================================================================
@@ -136,11 +130,11 @@ def _decay_rates(params: NetworkParams, variant: ProtocolVariant) -> tuple[float
     """(a, k): outage decay a and combined decay k = a + b.
 
     k is model.radial_decay_rate at the variant's effective interference
-    constant; b = lambda*(1-p)*phi/2 is the relay-void exponent, shared by
+    constant; b = model.relay_rate is the relay-void exponent, shared by
     both variants, and a = interferer_density * t is what is left.
     """
     k = radial_decay_rate(params, effective_interference_constant(params, variant))
-    return k - params.lam * (1.0 - params.p) * params.phi / 2.0, k
+    return k - relay_rate(params), k
 
 
 def log_expected_density(
@@ -198,22 +192,33 @@ def expected_density_numeric(
 
     Integrates p*lambda * P_s(x) * x * f_d(x) over [r_m, inf) numerically,
     with the heading average done analytically: the mean of cos over a
-    uniform offset in [-phi/2, phi/2] is (2/phi)*sin(phi/2). Uses the pdf
-    and success-probability formulas as black boxes so the route stays
-    independent of the closed form; it calls their unchecked bodies, since
-    params is validated once here and every node lies in [r_m, inf).
+    uniform offset in [-phi/2, phi/2] is (2/phi)*sin(phi/2). The variable
+    is s = b*(x^2 - r_m^2), b = model.relay_rate, in which the relay law
+    is Exp(1) whatever the parameters; with dx = ds/(2*b*x) the integrand
+    is P_s(x) * f_d(x)/(2b) over s in [0, inf). Its mass cannot hide in a
+    thin sliver away from the lower limit (as it does in x when b*r_m^2
+    is large): a fast outage decay only moves it towards s = 0, where the
+    exp-sinh nodes cluster. Uses the pdf and success-probability
+    formulas as black boxes so the route stays independent of the closed
+    form; it calls their unchecked bodies, since params is validated once
+    here and every node lies in [r_m, inf). Raises QuadratureError rather
+    than return a value the rule could not certify (see
+    specfun.integrate_semi_infinite).
     """
     params.validate()
     angular_mean = 2.0 / params.phi * math.sin(params.phi / 2.0)
+    b = relay_rate(params)
+    r_m2 = params.r_m**2
 
-    def integrand(x: float) -> float:
+    def integrand(s: float) -> float:
+        x = math.sqrt(r_m2 + s / b)
         return (
             _success_probability(params, x, variant)
-            * x
             * _relay_distance_pdf(params, x)
+            / (2.0 * b)
         )
 
-    quad = specfun.integrate_semi_infinite(integrand, params.r_m)
+    quad = specfun.integrate_semi_infinite(integrand, 0.0)
     return params.p * params.lam * angular_mean * quad.value
 
 
@@ -245,7 +250,7 @@ def rm_quadratic_roots(params: NetworkParams, variant: str = "standard") -> tupl
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}; use one of {BOUND_VARIANTS}")
     k = radial_decay_rate(params)
-    c = params.lam * (1.0 - params.p) * params.phi
+    c = 2.0 * relay_rate(params)
     factor = 2.0 if variant == "standard" else 1.0
     disc = 4.0 * k**3 - factor * k * c * c
     if disc < 0.0:

@@ -200,6 +200,16 @@ def radial_decay_rate(params: NetworkParams, t: float | None = None) -> float:
     return params.lam * params.phi / 2.0 * (params.p * t / math.pi + (1.0 - params.p))
 
 
+def relay_rate(params: NetworkParams) -> float:
+    """b = lambda*(1-p)*phi/2: the relay-void rate in r^2 - r_m^2.
+
+    The selection sector beyond r_m holds no receiver out to r with
+    probability exp(-b*(r^2 - r_m^2)); b is also the part of k that does
+    not depend on t.
+    """
+    return params.lam * (1.0 - params.p) * params.phi / 2.0
+
+
 def effective_interference_constant(params: NetworkParams, variant: ProtocolVariant) -> float:
     """t_eff: the t that makes the directional formulas describe ``variant``.
 

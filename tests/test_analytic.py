@@ -19,6 +19,7 @@ development):
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ import pytest
 from scipy import integrate
 
 from sectorrelay import analytic, optimize
-from sectorrelay.errors import DomainError, VacuousBoundError
+from sectorrelay.errors import DomainError, QuadratureError, VacuousBoundError
 from sectorrelay.model import (
     NetworkParams,
     ProtocolVariant,
@@ -182,6 +183,46 @@ def test_full_circle_beamwidth_degenerates():
     numeric = analytic.expected_density_numeric(params)
     assert closed < 1e-16
     assert closed == pytest.approx(numeric, rel=1e-8)
+
+
+# alpha x beta_dB x p x phi x r_m x lambda x variant: 7680 cases, reaching
+# the corners where k*r_m^2 or k is huge and the integrand's mass sits in a
+# thin sliver of [r_m, inf)
+TWIN_DOMAIN_GRID = list(itertools.product(
+    [2.01, 2.2, 3.0, 5.0, 8.0],
+    [-30.0, -10.0, 10.0, 30.0],
+    [1e-4, 0.1, 0.5, 0.99],
+    [0.05, 1.0, math.pi, 6.2],
+    [0.0, 0.3, 3.0, 30.0],
+    [1e-3, 1.0, 1e3],
+    list(ProtocolVariant),
+))
+
+
+def test_quadrature_twin_over_the_admissible_domain():
+    # every 7th case (7 is prime to each axis length, so all values and
+    # both variants come up): the twin agrees with the closed form, or the
+    # closed form lies below the double range, or the twin raises; it
+    # never returns a silent 0
+    for alpha, beta_db, p, phi, r_m, lam, variant in TWIN_DOMAIN_GRID[::7]:
+        params = NetworkParams(
+            lam=lam, alpha=alpha, beta=10.0 ** (beta_db / 10.0), p=p, phi=phi, r_m=r_m
+        )
+        closed = analytic.expected_density_closed(params, variant)
+        try:
+            numeric = analytic.expected_density_numeric(params, variant)
+        except QuadratureError:
+            continue
+        if closed >= 1e-250:
+            assert numeric == pytest.approx(closed, rel=1e-7, abs=0.0), (params, variant)
+
+
+def test_quadrature_twin_raises_where_its_integrand_underflows():
+    # exp(-a*r_m^2) is about 5e-324 here: the integrand is subnormal and
+    # its weighted terms round to 0, which the twin reports, not returns
+    params = NetworkParams(lam=1.0, alpha=5.0, beta=0.1, p=0.5, phi=0.05, r_m=30.0)
+    with pytest.raises(QuadratureError, match="underflowed"):
+        analytic.expected_density_numeric(params, ProtocolVariant.OMNIDIRECTIONAL)
 
 
 def test_progress_density_scales_as_sqrt_lambda():

@@ -262,18 +262,31 @@ def test_sweep_rejects_out_of_range_value_per_row(tmp_path):
     assert "p" in rows[1]["status"]
 
 
-def test_sweep_twin_disagreement_is_an_error_row(tmp_path):
-    # the integrand's mass sits in a sliver of [r_m, inf) that the
-    # quadrature misses: it returns 0 where the closed form is 2.0e-4
-    rc = cli.main([
-        "sweep", "--param", "r_m", "--values", "30", "--lambda", "1000",
-        "--p", "1e-4", "--beta-db", "-30", "--alpha", "2.2", "--phi", "6.2",
-        "--outdir", str(tmp_path),
-    ])
-    assert rc == 3
+THIN_RELAY_SWEEP = [
+    "sweep", "--param", "r_m", "--values", "30", "--lambda", "1000",
+    "--p", "1e-4", "--beta-db", "-30", "--alpha", "2.2", "--phi", "6.2",
+]
+
+
+def test_sweep_twin_resolves_a_thin_relay_law(tmp_path):
+    # the relay law's mass sits within 5e-6 of r_m = 30; integrated in the
+    # relay law's own variable, the twin still finds it
+    assert cli.main(THIN_RELAY_SWEEP + ["--outdir", str(tmp_path)]) == 0
     _, rows = read_table(tmp_path / "sweep.csv")
-    assert float(rows[0]["edp_closed"]) == pytest.approx(2.00917583687e-4, rel=1e-10)
-    assert float(rows[0]["edp_numeric"]) == 0.0
+    closed, numeric = float(rows[0]["edp_closed"]), float(rows[0]["edp_numeric"])
+    assert closed == pytest.approx(2.00917583687e-4, rel=1e-10)
+    assert numeric == pytest.approx(closed, rel=1e-7, abs=0.0)
+    assert rows[0]["status"] == "ok"
+
+
+def test_sweep_twin_disagreement_is_an_error_row(tmp_path, monkeypatch):
+    closed_form = analytic.expected_density_closed
+    monkeypatch.setattr(
+        analytic, "expected_density_numeric",
+        lambda params, variant: closed_form(params, variant) * (1.0 + 1e-6),
+    )
+    assert cli.main(THIN_RELAY_SWEEP + ["--outdir", str(tmp_path)]) == 3
+    _, rows = read_table(tmp_path / "sweep.csv")
     assert rows[0]["status"].startswith("error: closed form and quadrature differ")
 
 
