@@ -24,10 +24,11 @@ opt = NetworkParams(
 # =====================================================================
 # Trials sample the network from the viewpoint of a typical transmitter:
 # receivers inside the selection region only (the sector beyond r_m, within
-# the relay-search window), the distances of the interferers in a near-field
-# disk around the relay, and the rest of the interference integrated out
-# exactly. Each trial records its conditional expected progress; chunks of
-# trials run on counter-based substreams so runs replay exactly.
+# the relay-search window), the distances of the interferers whose beam
+# covers the relay in a near-field disk around it (a thinned Poisson
+# process), and the rest of the interference integrated out exactly. Each
+# trial records its conditional expected progress; each chunk of trials
+# runs on its own seeded SFC64 substream, so runs replay exactly.
 print("== progress-density estimate vs closed form ==")
 sim = simulate.SimConfig.for_params(opt, trials=3000, seed=7)
 print(f"window {sim.window_radius:.1f}, near field {sim.guard_radius:.1f}, "

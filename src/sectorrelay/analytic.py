@@ -130,11 +130,13 @@ def _decay_rates(params: NetworkParams, variant: ProtocolVariant) -> tuple[float
     """(a, k): outage decay a and combined decay k = a + b.
 
     k is model.radial_decay_rate at the variant's effective interference
-    constant; b = model.relay_rate is the relay-void exponent, shared by
-    both variants, and a = interferer_density * t is what is left.
+    constant t_eff; b = model.relay_rate is the relay-void exponent, shared
+    by both variants. a = interferer_density * t is formed directly (as the
+    directional density times t_eff), not as k - b, which cancels when
+    p*t/pi is small against 1 - p.
     """
-    k = radial_decay_rate(params, effective_interference_constant(params, variant))
-    return k - relay_rate(params), k
+    t_eff = effective_interference_constant(params, variant)
+    return interferer_density(params) * t_eff, radial_decay_rate(params, t_eff)
 
 
 def log_expected_density(

@@ -12,50 +12,52 @@ annulus sector r_m < r <= window, |angle| <= phi/2 (the window,
 By Poisson restriction the receivers (density (1-p)*lambda) that fall in
 that region are a Poisson process on it, independent of all others, so
 the kernel draws only those: a Poisson count of mean
-(1-p)*lambda*(phi/2)*(window^2 - r_m^2), squared radii uniform on
-(r_m^2, window^2] and angles uniform on the sector. sample_relay_distances
-keeps the full-disk draw and select_relay as the independent check of this
-restriction.
+(1-p)*lambda*(phi/2)*(window^2 - r_m^2), one uniform per receiver for its
+squared radius on (r_m^2, window^2], and the nearest (largest uniform, by
+np.maximum.reduceat) alone takes a square root. Angles are independent of
+radii: one uniform on the sector per relay. sample_relay_distances keeps
+the full-disk draw and select_relay as the independent check of this.
 
 Conditional estimator: a trial records the expected progress given its
-draws, d*cos*P_s, instead of a sampled success indicator. The other
-transmitters (density p*lambda) are drawn in the near field, a disk of
-radius L centred on the relay; they are independent of the receivers, so
-centring the disk there loses nothing. With x_i = beta*(d/r_i)^alpha and q
-the probability that a transmitter's sector covers the relay (phi/(2*pi)
-directional, 1 omnidirectional), Rayleigh fading and the uniform headings
-integrate out given the positions: interferer i lets the link through with
-probability (1 + (1-q)*x_i)/(1 + x_i). Only an interferer's distance r_i to
-the relay enters, so the kernel draws only the radii L*sqrt(U). Transmitters
-beyond L integrate out exactly through the Poisson Laplace functional,
+draws, d*cos*P_s, instead of a sampled success indicator. Only the
+transmitters whose sector covers the relay interfere. Uniform headings
+make them an independent thinning of the transmitters (density p*lambda)
+by q, the chance that a sector covers a point (phi/(2*pi) directional, 1
+omnidirectional): a Poisson process of density p*lambda*q.
+Coverage is sampled by drawing only those, in the near field, a disk of
+radius L centred on the relay (independent of the receivers, so centring
+it there loses nothing). Fading still integrates out given the positions:
+with x_i = beta*d^alpha * (r_i^2)^(-alpha/2), interferer i lets the link
+through with probability 1/(1 + x_i). The kernel draws squared radii
+L^2*U, and the variants differ only in the density. Transmitters beyond L
+integrate out exactly through the Poisson Laplace functional,
 exp(-p*lambda*q*F(L)) with F in closed form (far_field_integral). P_s is
-therefore the exact success probability given the near-field radii, and the
-estimator is unbiased for any L; the radius only decides how much of the
-interference is sampled rather than integrated. The default
+therefore the exact success probability given the near-field radii, and
+the estimator is unbiased for any L; the radius only decides how much of
+the interference is sampled rather than integrated. The default
 L = 40/sqrt(lambda) leaves the far field under a tenth of -log P_s at the
 paper's default optimum (about a quarter at 10/sqrt(lambda), since relays
 sit near d = 1/sqrt(lambda)), so the simulator still samples the
 interference it is checking.
 
-Batches and randomness: trials run in chunks of CHUNK, and each chunk owns
-one counter-based Philox substream keyed by (seed, stream tag, chunk index,
-attempt). Within a chunk the draw order is fixed: receiver counts, receiver
-positions (radius and angle uniforms in one call), interferer counts,
-interferer radii. The near-field part of log P_s of every trial is one
-bincount over the chunk's segments; the far field is evaluated once per
-run, vectorized over all trials after the chunks are joined. The kernel
-always draws a whole chunk and keeps the trials the run asks for, so trial
-i's sample depends only on (seed, i): not on the trial count, and not on
-the worker count. A chunk with an interferer on top of its relay (a
-measure-zero coincidence) is redrawn under the next attempt.
+Batches and randomness: trials run in chunks of CHUNK, each on its own
+SFC64 substream. Within a chunk the draw order is fixed: receiver counts,
+receiver uniforms, relay angles, interferer counts, interferer squared
+radii. Each trial's near-field log P_s is one segment sum
+(np.add.reduceat); the far field is evaluated once per run, over all
+trials after the chunks are joined. The kernel always draws a whole chunk
+and keeps the trials the run asks for, so trial i's sample depends only
+on (seed, i): not on the trial count, nor on the worker count. A chunk
+with an interferer on its relay (measure zero) is redrawn under the next
+attempt.
 
 A trial record holds trial, relay_found, d, cos_offset and progress; there
 are no per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
 indicator (interferer positions, beam headings, sector coverage and fading
-all sampled) as the independent check of the fading law, batched in chunks
-on its own stream tag. Its fading is drawn through the inverse exponential
-CDF, which makes that SIR exactly invariant under changes of the fading
-rate mu; the trial kernel does not depend on mu at all.
+all sampled) as the independent check of the thinning and fading laws,
+batched in chunks on its own stream tag. Its fading is drawn through the
+inverse exponential CDF, which makes that SIR exactly invariant under
+changes of the fading rate mu; the trial kernel does not depend on mu.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ from .model import NetworkParams, ProtocolVariant
 
 TWO_PI = 2.0 * math.pi
 
-# stream tags partition the 128-bit Philox key space per purpose
+# stream tags give each purpose its own substreams
 _TAG_TRIAL = 0
 _TAG_LINK = 1
 _TAG_SAMPLE = 2
 
 #: Trials per substream. Fixed, so that a trial's sample depends on neither
 #: the trial count nor the worker count; small, so a chunk's arrays stay
-#: small (about 20k interferer radii at the default near field).
+#: small (at most about 20k interferer radii at the default near field).
 CHUNK = 32
 
 #: CSV column order and schema version of per-trial streams.
@@ -175,16 +177,17 @@ class ProgressEstimate:
 # =====================================================================
 
 def substream(seed: int, tag: int, index: int, attempt: int = 0) -> np.random.Generator:
-    """Counter-based generator for one (purpose, index, attempt) cell.
+    """SFC64 generator of one (purpose, index, attempt) cell, seeded by
+    SeedSequence((seed, tag, index, attempt)).
 
-    The Philox key packs the run seed in the high 64 bits and
-    tag/index/attempt in the low 64, so every cell owns an independent
-    stream regardless of execution order.
+    SeedSequence hashes the coordinates' 32-bit words, so every cell owns
+    an independent stream regardless of execution order. tag, index and
+    attempt fit one word each, so no two cells share their words.
     """
-    if not (0 <= attempt < 2**20 and 0 <= index < 2**36 and 0 <= tag < 2**8):
+    if not (0 <= attempt < 2**20 and 0 <= index < 2**32 and 0 <= tag < 2**8):
         raise ValueError(f"substream coordinates out of range: {(tag, index, attempt)}")
-    key = (int(seed) << 64) | (tag << 56) | (index << 20) | attempt
-    return np.random.Generator(np.random.Philox(key=key))
+    cell = np.random.SeedSequence((int(seed), tag, index, attempt))
+    return np.random.Generator(np.random.SFC64(cell))
 
 
 def _redrawn(draw, seed: int, tag: int, chunk: int):
@@ -260,9 +263,13 @@ def _exponential(rng: np.random.Generator, mu: float, size: int | None = None):
     return -np.log1p(-u) / mu
 
 
-def _segments(counts: np.ndarray) -> np.ndarray:
-    """Trial index of each point of a chunk whose trial i holds counts[i]."""
-    return np.repeat(np.arange(len(counts)), counts)
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-trial sums of values, of which trial i holds the next counts[i];
+    0 for a trial that holds none."""
+    sums = np.zeros(len(counts))
+    held = counts > 0
+    sums[held] = np.add.reduceat(values, (np.cumsum(counts) - counts)[held])
+    return sums
 
 
 # =====================================================================
@@ -334,18 +341,14 @@ def _chunk_relays(params: NetworkParams, sim: SimConfig, rng: np.random.Generato
     inner2 = params.r_m**2
     span = max(sim.window_radius**2 - inner2, 0.0)
     counts = rng.poisson((1.0 - params.p) * params.lam * 0.5 * params.phi * span, CHUNK)
-    u = rng.random((int(counts.sum()), 2))
-    # 1 - u lies in (0, 1], so every radius lies in (r_m, window]
-    dist = np.sqrt(inner2 + span * (1.0 - u[:, 0]))
     found = counts > 0
+    # the nearest receiver holds the largest uniform; 1 - u lies in (0, 1],
+    # so every radius lies in (r_m, window]
+    u = np.maximum.reduceat(rng.random(int(counts.sum())), (np.cumsum(counts) - counts)[found])
     d = np.full(CHUNK, math.nan)
+    d[found] = np.sqrt(inner2 + span * (1.0 - u))
     cos_offset = np.full(CHUNK, math.nan)
-    # segment minimum, then the first point of each trial that attains it
-    starts = (np.cumsum(counts) - counts)[found]
-    d[found] = np.minimum.reduceat(dist, starts)
-    at_min = dist == np.repeat(d[found], counts[found])
-    nearest = np.minimum.reduceat(np.where(at_min, np.arange(len(dist)), len(dist)), starts)
-    cos_offset[found] = np.cos(params.phi * (u[nearest, 1] - 0.5))
+    cos_offset[found] = np.cos(params.phi * (rng.random(len(u)) - 0.5))
     return found, d, cos_offset
 
 
@@ -365,31 +368,28 @@ def _chunk_near_field(
     """
     found, d, cos_offset = _chunk_relays(params, sim, rng)
     widest = max(radii)
-    counts = rng.poisson(params.p * params.lam * math.pi * widest**2, CHUNK)
+    counts = rng.poisson(_covering_density(params, variant) * math.pi * widest**2, CHUNK)
     # in place where possible: every array here is the size of the chunk's
     # interferer count, and fresh ones cost page faults
-    dists = rng.random(int(counts.sum()))
-    np.sqrt(dists, out=dists)
-    dists *= widest
-    if not dists.all():
+    r2 = rng.random(int(counts.sum()))
+    r2 *= widest**2
+    if not r2.all():
         raise DegenerateSampleError("interferer coincides with the relay")
-    owner = _segments(counts)
-    q = _coverage(params, variant)
-    x = dists**-params.alpha
-    x *= _link_scale(params, found, d)[owner]
-    log_pass = x * (1.0 - q)
-    np.log1p(log_pass, out=log_pass)
-    log_pass -= np.log1p(x, out=x)
+    # the link survives interferer i with probability 1/(1 + x_i)
+    x = r2 ** (-0.5 * params.alpha)
+    x *= np.repeat(_link_scale(params, found, d), counts)
+    log_loss = np.log1p(x, out=x)
     near = np.empty((len(radii), CHUNK))
     for row, radius in zip(near, radii):
-        kept = log_pass if radius == widest else np.where(dists <= radius, log_pass, 0.0)
-        row[:] = np.bincount(owner, kept, CHUNK)
+        kept = log_loss if radius == widest else np.where(r2 <= radius**2, log_loss, 0.0)
+        row[:] = -_segment_sums(kept, counts)
     return found, d, cos_offset, near
 
 
-def _coverage(params: NetworkParams, variant: ProtocolVariant) -> float:
-    """Probability that a transmitter's sector covers a given point."""
-    return params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
+def _covering_density(params: NetworkParams, variant: ProtocolVariant) -> float:
+    """p*lambda thinned to the transmitters whose sector covers a point."""
+    q = params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
+    return params.p * params.lam * q
 
 
 def _link_scale(params: NetworkParams, found: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -409,7 +409,7 @@ def _with_far_field(
     """Progress d*cos_offset*P_s, one row per radius: each row of near-field
     log P_s plus the exact far field beyond its radius."""
     s = _link_scale(params, found, d)
-    density = params.p * params.lam * _coverage(params, variant)
+    density = _covering_density(params, variant)
     progress = np.empty_like(near)
     for row, logs, radius in zip(progress, near, radii):
         log_ps = logs - density * far_field_integral(s, params.alpha, radius)
@@ -635,7 +635,7 @@ def link_sir(
     power = _exponential(rng, params.mu, len(dists)) * dists**-params.alpha
     if variant is ProtocolVariant.DIRECTIONAL:
         power[~sector_covers(offsets, headings, (0.0, 0.0), params.phi)] = 0.0
-    interference = np.bincount(_segments(counts), power, len(counts))
+    interference = _segment_sums(power, counts)
     return np.divide(
         signal, interference, out=np.full(len(counts), math.inf), where=interference > 0.0
     )

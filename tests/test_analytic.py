@@ -235,6 +235,30 @@ def test_progress_density_scales_as_sqrt_lambda():
         assert e / math.sqrt(lam) == pytest.approx(e1, rel=1e-12)
 
 
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("p, r_m", [(1e-4, 30.0), (1e-6, 100.0), (1e-6, 300.0)])
+def test_closed_form_matches_mpmath_at_large_u(p, r_m, variant):
+    # u = k*r_m^2 runs to 3e8 here; forming the outage decay as k - b
+    # would cancel and cost about u*eps relative
+    mpmath = pytest.importorskip("mpmath")
+    params = NetworkParams(lam=1000.0, alpha=2.2, beta=1e-3, p=p, phi=6.2, r_m=r_m)  # -30 dB
+    with mpmath.workdps(50):
+        lam, alpha, beta, p_, phi, rm = map(
+            mpmath.mpf, (params.lam, params.alpha, params.beta, params.p, params.phi, params.r_m)
+        )
+        t = (2 * mpmath.pi**2 / alpha) / mpmath.sin(2 * mpmath.pi / alpha) * beta ** (2 / alpha)
+        covered = phi / (2 * mpmath.pi) if variant is ProtocolVariant.DIRECTIONAL else 1
+        b = lam * (1 - p_) * phi / 2
+        k = p_ * lam * covered * t + b
+        oracle = float(
+            lam**2 * p_ * (1 - p_) * mpmath.gammainc(mpmath.mpf(3) / 2, k * rm**2)
+            * k ** (-mpmath.mpf(3) / 2) * mpmath.exp(b * rm**2) * mpmath.sin(phi / 2)
+        )
+    assert analytic.expected_density_closed(params, variant) == pytest.approx(
+        oracle, rel=1e-12, abs=0.0
+    )
+
+
 def test_log_route_survives_huge_reference_distance():
     params = _with(BASE, r_m=50.0)
     log_val = analytic.log_expected_density(params)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from sectorrelay import analytic, simulate
+from sectorrelay import analytic, optimize, simulate
 from sectorrelay.errors import (
     DegenerateSampleError,
     DomainError,
@@ -63,9 +63,26 @@ def test_substream_cells_are_distinct():
 
 
 def test_substream_coordinate_ranges():
-    for bad in [(123, 256, 0, 0), (123, 0, 2**36, 0), (123, 0, 0, 2**20), (123, -1, 0, 0)]:
+    for bad in [
+        (123, 256, 0, 0), (123, 0, 2**32, 0), (123, 0, 2**36, 0), (123, 0, 0, 2**20),
+        (123, -1, 0, 0),
+    ]:
         with pytest.raises(ValueError):
             simulate.substream(*bad)
+
+
+# ---------------------------------------------------------------------
+# per-trial segment sums
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("counts", [
+    [0, 3, 1, 2], [2, 1, 0, 4], [3, 1, 2, 0], [0, 0, 2, 0, 0], [0, 0, 0], [],
+], ids=["first-empty", "middle-empty", "last-empty", "mostly-empty", "all-empty", "no-trials"])
+def test_segment_sums_match_bincount(counts):
+    counts = np.array(counts, dtype=np.int64)
+    values = simulate.substream(6, 0, 0).random(int(counts.sum()))
+    reference = np.bincount(np.repeat(np.arange(len(counts)), counts), values, len(counts))
+    assert np.array_equal(simulate._segment_sums(values, counts), reference)
 
 
 # ---------------------------------------------------------------------
@@ -400,14 +417,31 @@ def test_validate_for_estimation_names_violations():
     assert "guard_radius" in message
 
 
-def test_estimator_agrees_with_closed_form():
-    sim = simulate.SimConfig.for_params(OPT, trials=2000, seed=7)
-    est = simulate.estimate_density_of_progress(OPT, sim)
-    target = analytic.expected_density_closed(OPT)
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 2], ids=["pi-over-6", "pi-over-2"])
+def test_estimator_agrees_with_closed_form(phi, variant):
+    # at each variant's joint optimum: the directional kernel keeps 1/12 or
+    # 1/4 of the transmitters, the omnidirectional one all of them
+    best = optimize.optimize_joint(_with(BASE, phi=phi), variant)
+    params = _with(BASE, phi=phi, p=best.p_star, r_m=best.rm_star)
+    sim = simulate.SimConfig.for_params(params, trials=2000, seed=7)
+    est = simulate.estimate_density_of_progress(params, sim, variant)
+    target = analytic.expected_density_closed(params, variant)
     z = (est.mean - target) / est.std_error
     assert abs(z) < 3.0
     assert est.trials_used == 2000
     assert est.relay_found_fraction > 0.9
+
+
+def test_variants_coincide_at_full_circle():
+    # at phi = 2*pi every sector covers the relay: both variants draw the
+    # same covering density and must give bitwise the same samples
+    params = _with(OPT, phi=2 * math.pi)
+    sim = simulate.SimConfig.for_params(params, trials=100, seed=19)
+    directional = simulate.collect_trials(params, sim, ProtocolVariant.DIRECTIONAL)
+    omni = simulate.collect_trials(params, sim, ProtocolVariant.OMNIDIRECTIONAL)
+    assert sum(s.relay_found for s in directional) > 90
+    assert all(_same_sample(a, b) for a, b in zip(directional, omni))
 
 
 def test_estimator_orders_transmission_probabilities():
