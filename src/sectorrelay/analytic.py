@@ -113,11 +113,6 @@ def relay_distance_pdf(params: NetworkParams, r: float) -> float:
         raise DomainError(
             f"relay distance {r} below the reference distance r_m={params.r_m}"
         )
-    return _relay_distance_pdf(params, r)
-
-
-def _relay_distance_pdf(params: NetworkParams, r: float) -> float:
-    """relay_distance_pdf without the checks, for valid params and r >= r_m."""
     b = relay_rate(params)
     return 2.0 * b * r * math.exp(-b * (r * r - params.r_m**2))
 
@@ -197,15 +192,16 @@ def expected_density_numeric(
     uniform offset in [-phi/2, phi/2] is (2/phi)*sin(phi/2). The variable
     is s = b*(x^2 - r_m^2), b = model.relay_rate, in which the relay law
     is Exp(1) whatever the parameters; with dx = ds/(2*b*x) the integrand
-    is P_s(x) * f_d(x)/(2b) over s in [0, inf). Its mass cannot hide in a
+    is P_s(x) * x * exp(-s) over s in [0, inf). The law's density is
+    written in s itself, so no node recomputes x^2 - r_m^2 and pays its
+    rounding, about b*r_m^2*eps relative. Its mass cannot hide in a
     thin sliver away from the lower limit (as it does in x when b*r_m^2
     is large): a fast outage decay only moves it towards s = 0, where the
-    exp-sinh nodes cluster. Uses the pdf and success-probability
-    formulas as black boxes so the route stays independent of the closed
-    form; it calls their unchecked bodies, since params is validated once
-    here and every node lies in [r_m, inf). Raises QuadratureError rather
-    than return a value the rule could not certify (see
-    specfun.integrate_semi_infinite).
+    exp-sinh nodes cluster. Uses the success-probability formula as a
+    black box so the route stays independent of the closed form; it calls
+    its unchecked body, since params is validated once here and every
+    node lies in [r_m, inf). Raises QuadratureError rather than return a
+    value the rule could not certify (see specfun.integrate_semi_infinite).
     """
     params.validate()
     angular_mean = 2.0 / params.phi * math.sin(params.phi / 2.0)
@@ -214,11 +210,7 @@ def expected_density_numeric(
 
     def integrand(s: float) -> float:
         x = math.sqrt(r_m2 + s / b)
-        return (
-            _success_probability(params, x, variant)
-            * _relay_distance_pdf(params, x)
-            / (2.0 * b)
-        )
+        return _success_probability(params, x, variant) * x * math.exp(-s)
 
     quad = specfun.integrate_semi_infinite(integrand, 0.0)
     return params.p * params.lam * angular_mean * quad.value

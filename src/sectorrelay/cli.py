@@ -36,6 +36,8 @@ from .errors import DomainError, ParameterError, VacuousBoundError
 from .model import NetworkParams, ProtocolVariant, parse_config_mapping
 
 SCHEMA_VERSION = 1
+#: Schema version of simulate.csv.
+SIMULATE_SCHEMA_VERSION = 2
 MANIFEST_VERSION = 1
 OUTDIR_ENV = "SECTORRELAY_OUTDIR"
 
@@ -411,11 +413,7 @@ def run_optimize(params: NetworkParams, settings: dict, outdir: Path):
 def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
     variant = ProtocolVariant(settings["variant"])
     sim = simulate.SimConfig.for_params(
-        params,
-        settings["trials"],
-        settings["seed"],
-        window_radius=settings["window_radius"],
-        guard_radius=settings["guard_radius"],
+        params, settings["trials"], settings["seed"], guard_radius=settings["guard_radius"]
     )
     simulate.validate_for_estimation(params, sim)
     samples = simulate.collect_trials(params, sim, variant, settings["workers"])
@@ -428,7 +426,6 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         "ci95_low",
         "ci95_high",
         "trials_used",
-        "relay_found_fraction",
         "edp_closed",
         "z_score",
         "status",
@@ -439,16 +436,13 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         est.mean - 1.96 * est.std_error,
         est.mean + 1.96 * est.std_error,
         est.trials_used,
-        est.relay_found_fraction,
         closed,
         z,
         "ok",
     )
-    outputs = [_write_csv(outdir, "simulate", header, [row])]
+    outputs = [_write_csv(outdir, "simulate", header, [row], SIMULATE_SCHEMA_VERSION)]
     if settings["emit_trials"]:
-        trial_rows = [
-            (s.trial, int(s.relay_found), s.d, s.cos_offset, s.progress) for s in samples
-        ]
+        trial_rows = [(s.trial, s.d, s.cos_offset, s.progress) for s in samples]
         outputs.append(
             _write_csv(
                 outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows,
@@ -543,9 +537,11 @@ def _fits_option(action: argparse.Action, value) -> bool:
 
 def _check_settings(options: dict, settings: dict, path: Path) -> None:
     """Reject replayed settings the command's own flags could not produce:
-    every one of its setting options needs a key, and each value must fit
-    its option's type."""
-    problems = []
+    every one of its setting options needs a key, each value must fit its
+    option's type, and no other key may appear."""
+    problems = [
+        f"manifest {path}: unknown settings key: {key}" for key in settings if key not in options
+    ]
     for key, action in options.items():
         if key not in settings:
             problems.append(f"manifest {path}: settings lack key: {key}")
@@ -693,8 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simcmd.add_argument("--trials", type=int, default=20000,
                         help="number of network draws (default 20000)")
-    simcmd.add_argument("--window-radius", type=float, default=None,
-                        help="relay-search radius (default 15/sqrt(lambda))")
     simcmd.add_argument("--guard-radius", type=float, default=None,
                         help="explicit near-field radius around the relay "
                         "(default 40/sqrt(lambda))")

@@ -6,17 +6,16 @@ unconditioned process, so the trial places the tagged transmitter at the
 origin with heading 0 and looks for its relay. The tagged transmitter
 itself is never counted as an interferer.
 
-Receivers: the relay is the nearest receiver in the selection region, the
-annulus sector r_m < r <= window, |angle| <= phi/2 (the window,
-15/sqrt(lambda) by default, is far more than enough to contain the relay).
-By Poisson restriction the receivers (density (1-p)*lambda) that fall in
-that region are a Poisson process on it, independent of all others, so
-the kernel draws only those: a Poisson count of mean
-(1-p)*lambda*(phi/2)*(window^2 - r_m^2), one uniform per receiver for its
-squared radius on (r_m^2, window^2], and the nearest (largest uniform, by
-np.maximum.reduceat) alone takes a square root. Angles are independent of
-radii: one uniform on the sector per relay. sample_relay_distances keeps
-the full-disk draw and select_relay as the independent check of this.
+Receivers: the relay is the nearest receiver (density (1-p)*lambda) in
+the selection region, the sector |angle| <= phi/2 beyond r_m. The region
+is unbounded, so the relay always exists, and the void probability of
+the annular sector out to d makes d^2 - r_m^2 exactly Exp(b), with
+b = (1-p)*lambda*phi/2 (model.relay_rate): the law the closed form
+integrates. The kernel draws it through the inverse CDF,
+d = sqrt(r_m^2 + E), one uniform per trial, with no window to truncate
+it. Angles are independent of radii: one uniform on the sector per
+relay. sample_relay_distances keeps the full-disk draw and select_relay
+as the independent check of this law.
 
 Conditional estimator: a trial records the expected progress given its
 draws, d*cos*P_s, instead of a sampled success indicator. Only the
@@ -41,18 +40,17 @@ sit near d = 1/sqrt(lambda)), so the simulator still samples the
 interference it is checking.
 
 Batches and randomness: trials run in chunks of CHUNK, each on its own
-SFC64 substream. Within a chunk the draw order is fixed: receiver counts,
-receiver uniforms, relay angles, interferer counts, interferer squared
-radii. Each trial's near-field log P_s is one segment sum
-(np.add.reduceat); the far field is evaluated once per run, over all
-trials after the chunks are joined. The kernel always draws a whole chunk
-and keeps the trials the run asks for, so trial i's sample depends only
-on (seed, i): not on the trial count, nor on the worker count. A chunk
-with an interferer on its relay (measure zero) is redrawn under the next
-attempt.
+SFC64 substream. Within a chunk the draw order is fixed: relay distance
+uniforms, relay angles, interferer counts, interferer squared radii. Each
+trial's near-field log P_s is one segment sum (np.add.reduceat); the far
+field is evaluated once per run, over all trials after the chunks are
+joined. The kernel always draws a whole chunk and keeps the trials the
+run asks for, so trial i's sample depends only on (seed, i): not on the
+trial count, nor on the worker count. A chunk with an interferer on its
+relay (measure zero) is redrawn under the next attempt.
 
-A trial record holds trial, relay_found, d, cos_offset and progress; there
-are no per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
+A trial record holds trial, d, cos_offset and progress; there are no
+per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
 indicator (interferer positions, beam headings, sector coverage and fading
 all sampled) as the independent check of the thinning and fading laws,
 batched in chunks on its own stream tag. Its fading is drawn through the
@@ -71,7 +69,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
-from .model import NetworkParams, ProtocolVariant
+from .model import NetworkParams, ProtocolVariant, relay_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,29 +84,25 @@ _TAG_SAMPLE = 2
 CHUNK = 32
 
 #: CSV column order and schema version of per-trial streams.
-TRIAL_COLUMNS = ("trial", "relay_found", "d", "cos_offset", "progress")
-TRIAL_SCHEMA_VERSION = 2
+TRIAL_COLUMNS = ("trial", "d", "cos_offset", "progress")
+TRIAL_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run geometry and bookkeeping.
 
-    window_radius bounds the relay search; guard_radius is the near-field
-    radius L around the relay inside which interferers are drawn (beyond it
-    they are integrated out). seed is a 64-bit integer; trials the number
-    of independent network draws.
+    guard_radius is the near-field radius L around the relay inside which
+    interferers are drawn (beyond it they are integrated out). seed is a
+    64-bit integer; trials the number of independent network draws.
     """
 
-    window_radius: float
     trials: int
     seed: int
     guard_radius: float
 
     def validate(self) -> "SimConfig":
         violations = []
-        if not (self.window_radius > 0):
-            violations.append(f"window_radius must be > 0, got {self.window_radius}")
         if self.trials < 1:
             violations.append(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
@@ -125,16 +119,13 @@ class SimConfig:
         params: NetworkParams,
         trials: int,
         seed: int,
-        window_radius: float | None = None,
         guard_radius: float | None = None,
     ) -> "SimConfig":
-        """Default geometry: window 15/sqrt(lambda), near field 40/sqrt(lambda)."""
-        scale = 1.0 / math.sqrt(params.lam)
+        """Default geometry: near field 40/sqrt(lambda)."""
         return cls(
-            window_radius=15.0 * scale if window_radius is None else window_radius,
             trials=trials,
             seed=seed,
-            guard_radius=40.0 * scale if guard_radius is None else guard_radius,
+            guard_radius=40.0 / math.sqrt(params.lam) if guard_radius is None else guard_radius,
         ).validate()
 
     def min_guard(self, params: NetworkParams) -> float:
@@ -151,12 +142,10 @@ class SimConfig:
 class TrialSample:
     """Per-trial outcome.
 
-    progress is the conditional expected progress d*cos_offset*P_s (0 when
-    no relay is found).
+    progress is the conditional expected progress d*cos_offset*P_s.
     """
 
     trial: int
-    relay_found: bool
     d: float
     cos_offset: float
     progress: float
@@ -169,7 +158,6 @@ class ProgressEstimate:
     mean: float
     std_error: float
     trials_used: int
-    relay_found_fraction: float
 
 
 # =====================================================================
@@ -258,7 +246,7 @@ def select_relay(
 
 
 def _exponential(rng: np.random.Generator, mu: float, size: int | None = None):
-    """Exp(mu) fading via the inverse CDF, so draws scale exactly as 1/mu."""
+    """Exp(mu) via the inverse CDF, so draws scale exactly as 1/mu."""
     u = rng.random(size)
     return -np.log1p(-u) / mu
 
@@ -332,41 +320,28 @@ def far_field_integral(s, alpha: float, radius: float):
     return float(value[0]) if s.ndim == 0 else value.reshape(s.shape)
 
 
-def _chunk_relays(params: NetworkParams, sim: SimConfig, rng: np.random.Generator):
-    """Each trial's relay from receivers drawn in the selection region only.
-
-    Returns (found, d, cos_offset); d and cos_offset are nan where the
-    region holds no receiver.
-    """
-    inner2 = params.r_m**2
-    span = max(sim.window_radius**2 - inner2, 0.0)
-    counts = rng.poisson((1.0 - params.p) * params.lam * 0.5 * params.phi * span, CHUNK)
-    found = counts > 0
-    # the nearest receiver holds the largest uniform; 1 - u lies in (0, 1],
-    # so every radius lies in (r_m, window]
-    u = np.maximum.reduceat(rng.random(int(counts.sum())), (np.cumsum(counts) - counts)[found])
-    d = np.full(CHUNK, math.nan)
-    d[found] = np.sqrt(inner2 + span * (1.0 - u))
-    cos_offset = np.full(CHUNK, math.nan)
-    cos_offset[found] = np.cos(params.phi * (rng.random(len(u)) - 0.5))
-    return found, d, cos_offset
+def _chunk_relays(params: NetworkParams, rng: np.random.Generator):
+    """Each trial's relay from the exact relay law: (d, cos_offset), with
+    d^2 - r_m^2 ~ Exp(relay_rate) and the angle uniform on the sector."""
+    d = np.sqrt(params.r_m**2 + _exponential(rng, relay_rate(params), CHUNK))
+    cos_offset = np.cos(params.phi * (rng.random(CHUNK) - 0.5))
+    return d, cos_offset
 
 
 def _chunk_near_field(
     params: NetworkParams,
-    sim: SimConfig,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
     rng: np.random.Generator,
 ):
-    """One chunk: (found, d, cos_offset, near), where near holds one row of
+    """One chunk: (d, cos_offset, near), where near holds one row of
     near-field log P_s per radius, all from interferers drawn once in the
     widest disk.
 
     A smaller radius keeps the points inside it, which is exactly its
     Poisson process; _with_far_field integrates the rest.
     """
-    found, d, cos_offset = _chunk_relays(params, sim, rng)
+    d, cos_offset = _chunk_relays(params, rng)
     widest = max(radii)
     counts = rng.poisson(_covering_density(params, variant) * math.pi * widest**2, CHUNK)
     # in place where possible: every array here is the size of the chunk's
@@ -377,13 +352,13 @@ def _chunk_near_field(
         raise DegenerateSampleError("interferer coincides with the relay")
     # the link survives interferer i with probability 1/(1 + x_i)
     x = r2 ** (-0.5 * params.alpha)
-    x *= np.repeat(_link_scale(params, found, d), counts)
+    x *= np.repeat(_link_scale(params, d), counts)
     log_loss = np.log1p(x, out=x)
     near = np.empty((len(radii), CHUNK))
     for row, radius in zip(near, radii):
         kept = log_loss if radius == widest else np.where(r2 <= radius**2, log_loss, 0.0)
         row[:] = -_segment_sums(kept, counts)
-    return found, d, cos_offset, near
+    return d, cos_offset, near
 
 
 def _covering_density(params: NetworkParams, variant: ProtocolVariant) -> float:
@@ -392,28 +367,27 @@ def _covering_density(params: NetworkParams, variant: ProtocolVariant) -> float:
     return params.p * params.lam * q
 
 
-def _link_scale(params: NetworkParams, found: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """s = beta*d^alpha of each trial's link (0 where no relay was found)."""
-    return params.beta * np.where(found, d, 0.0) ** params.alpha
+def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
+    """s = beta*d^alpha of each trial's link."""
+    return params.beta * d**params.alpha
 
 
 def _with_far_field(
     params: NetworkParams,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
-    found: np.ndarray,
     d: np.ndarray,
     cos_offset: np.ndarray,
     near: np.ndarray,
 ) -> np.ndarray:
     """Progress d*cos_offset*P_s, one row per radius: each row of near-field
     log P_s plus the exact far field beyond its radius."""
-    s = _link_scale(params, found, d)
+    s = _link_scale(params, d)
     density = _covering_density(params, variant)
     progress = np.empty_like(near)
     for row, logs, radius in zip(progress, near, radii):
         log_ps = logs - density * far_field_integral(s, params.alpha, radius)
-        row[:] = np.where(found, d * cos_offset * np.exp(log_ps), 0.0)
+        row[:] = d * cos_offset * np.exp(log_ps)
     return progress
 
 
@@ -422,7 +396,7 @@ def _trial_chunks(args) -> list:
     params, sim, variant, radii, start, stop = args
     return [
         _redrawn(
-            lambda rng: _chunk_near_field(params, sim, variant, radii, rng),
+            lambda rng: _chunk_near_field(params, variant, radii, rng),
             sim.seed, _TAG_TRIAL, chunk,
         )
         for chunk in range(start, stop)
@@ -436,7 +410,7 @@ def _run_trials(
     radii: tuple[float, ...],
     workers: int = 1,
 ):
-    """(found, d, cos_offset, progress) of trials 0 .. sim.trials-1.
+    """(d, cos_offset, progress) of trials 0 .. sim.trials-1.
 
     The chunks draw and sum the near field; the far field is evaluated
     once over all trials after they are joined.
@@ -454,11 +428,11 @@ def _run_trials(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_chunks, jobs))
     results = [result for part in parts for result in part]
-    found, d, cos_offset, near = (
+    d, cos_offset, near = (
         np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
     )
-    progress = _with_far_field(params, variant, radii, found, d, cos_offset, near)
-    return found, d, cos_offset, progress
+    progress = _with_far_field(params, variant, radii, d, cos_offset, near)
+    return d, cos_offset, progress
 
 
 def collect_trials(
@@ -474,14 +448,10 @@ def collect_trials(
     """
     params.validate()
     sim.validate()
-    found, d, cos_offset, progress = _run_trials(
-        params, sim, variant, (sim.guard_radius,), workers
-    )
+    d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)
     return [
-        TrialSample(i, f, di, c, v)
-        for i, (f, di, c, v) in enumerate(
-            zip(found.tolist(), d.tolist(), cos_offset.tolist(), progress[0].tolist())
-        )
+        TrialSample(i, *values)
+        for i, values in enumerate(zip(d.tolist(), cos_offset.tolist(), progress[0].tolist()))
     ]
 
 
@@ -490,7 +460,7 @@ def worker_count(requested: int, jobs: int) -> int:
     return min(requested, jobs, os.cpu_count() or 1)
 
 
-def _estimate(progress: np.ndarray, found: np.ndarray, params: NetworkParams) -> ProgressEstimate:
+def _estimate(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
     n = len(progress)
     if n < 2:
         raise DomainError("need at least 2 trials to form a std_error")
@@ -499,22 +469,17 @@ def _estimate(progress: np.ndarray, found: np.ndarray, params: NetworkParams) ->
         mean=scale * float(np.mean(progress)),
         std_error=scale * float(np.std(progress, ddof=1)) / math.sqrt(n),
         trials_used=n,
-        relay_found_fraction=float(np.mean(found)),
     )
 
 
 def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> ProgressEstimate:
     """Reduce per-trial progress to the density-of-progress estimate.
 
-    The estimator is p*lambda times the sample mean of per-trial progress
-    (zeros included); the reduction uses numpy's pairwise summation over
-    the trial-ordered array, so it is reproducible bit-for-bit.
+    The estimator is p*lambda times the sample mean of per-trial progress;
+    the reduction uses numpy's pairwise summation over the trial-ordered
+    array, so it is reproducible bit-for-bit.
     """
-    return _estimate(
-        np.array([s.progress for s in samples], dtype=float),
-        np.array([s.relay_found for s in samples], dtype=bool),
-        params,
-    )
+    return _estimate(np.array([s.progress for s in samples], dtype=float), params)
 
 
 def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:
@@ -550,8 +515,8 @@ def estimate_density_of_progress(
     preconditions enforced on entry.
     """
     validate_for_estimation(params, sim)
-    found, _, _, progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)
-    return _estimate(progress[0], found, params)
+    progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)[-1]
+    return _estimate(progress[0], params)
 
 
 def guard_sensitivity(
@@ -572,8 +537,8 @@ def guard_sensitivity(
     sim.validate()
     if not guards:
         raise DomainError("need at least one guard radius")
-    found, _, _, progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
-    return [_estimate(row, found, params) for row in progress]
+    progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))[-1]
+    return [_estimate(row, params) for row in progress]
 
 
 # =====================================================================
@@ -591,7 +556,7 @@ def sample_relay_distances(
     Geometry only - no interference - so it is cheap enough for
     distribution tests against the relay-distance CDF. Receivers fill the
     whole window and select_relay picks the relay, independently of the
-    trial kernel's draw restricted to the selection region.
+    trial kernel's draw from the relay law.
     """
     params.validate()
     out = np.empty(trials)

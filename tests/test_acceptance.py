@@ -225,7 +225,7 @@ def test_criterion_8_directional_beats_omnidirectional(joint_grid):
             # full circle: the variants are one protocol
             assert d.objective == pytest.approx(o.objective, rel=1e-9)
 
-    sim = simulate.SimConfig(window_radius=10.0, trials=600, seed=53, guard_radius=40.0)
+    sim = simulate.SimConfig(trials=600, seed=53, guard_radius=40.0)
     directional = simulate.estimate_density_of_progress(OPT, sim)
     omni = simulate.estimate_density_of_progress(OPT, sim, ProtocolVariant.OMNIDIRECTIONAL)
     gap = directional.mean - omni.mean

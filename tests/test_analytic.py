@@ -257,6 +257,11 @@ def test_closed_form_matches_mpmath_at_large_u(p, r_m, variant):
     assert analytic.expected_density_closed(params, variant) == pytest.approx(
         oracle, rel=1e-12, abs=0.0
     )
+    # the twin integrates the relay law in s = b*(x^2 - r_m^2) itself, so
+    # its nodes carry no rounding of order b*r_m^2*eps either
+    assert analytic.expected_density_numeric(params, variant) == pytest.approx(
+        oracle, rel=1e-12, abs=0.0
+    )
 
 
 def test_log_route_survives_huge_reference_distance():

@@ -359,14 +359,14 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     ])
     assert rc == 0
     schema, rows = read_table(a / "simulate.csv")
-    assert schema == "# schema: sectorrelay.simulate v1"
+    assert schema == "# schema: sectorrelay.simulate v2"
     row = rows[0]
     assert row["trials_used"] == "150"
     assert abs(float(row["z_score"])) < 4.0
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
-    assert trial_schema == "# schema: sectorrelay.simulate_trials v2"
+    assert trial_schema == "# schema: sectorrelay.simulate_trials v3"
     assert len(trial_rows) == 150
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
@@ -479,6 +479,12 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
              "settings": {"seed": 0, "workers": 1, "param": "p", "values": [],
                           "optimize": False, "scaling": False, "variant": "directional"}},
             "values",
+        ),
+        (
+            {"command": "simulate", "params": GOOD_PARAMS,
+             "settings": {"seed": 0, "workers": 1, "trials": 200, "guard_radius": None,
+                          "variant": "directional", "emit_trials": False, "bogus": 1}},
+            "bogus",
         ),
     ],
 )

@@ -32,17 +32,6 @@ def _with(params, **kw):
     return dataclasses.replace(params, **kw)
 
 
-def _same_sample(a, b):
-    if (a.trial, a.relay_found) != (b.trial, b.relay_found):
-        return False
-    for x, y in [(a.d, b.d), (a.cos_offset, b.cos_offset), (a.progress, b.progress)]:
-        if math.isnan(x) != math.isnan(y):
-            return False
-        if not math.isnan(x) and x != y:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------
 # substreams
 # ---------------------------------------------------------------------
@@ -197,13 +186,12 @@ def test_relay_distances_rayleigh_specialization():
 
 
 def test_trial_kernel_relays_follow_the_closed_laws():
-    # the kernel draws receivers in the selection region only; its relay
-    # distances must still follow the relay-distance CDF, and the relay's
-    # angle must be uniform over the sector
+    # the kernel draws the relay from its law through the inverse CDF; its
+    # distances must follow the relay-distance CDF, and the relay's angle
+    # must be uniform over the sector
     params = _with(BASE, r_m=0.1)
-    sim = simulate.SimConfig(window_radius=4.0, trials=6000, seed=21, guard_radius=1.0)
-    samples = [s for s in simulate.collect_trials(params, sim) if s.relay_found]
-    assert len(samples) > 5900  # window is ~4 sigma past the law's tail
+    sim = simulate.SimConfig(trials=6000, seed=21, guard_radius=1.0)
+    samples = simulate.collect_trials(params, sim)
     ds = np.array([s.d for s in samples])
     result = stats.kstest(ds, lambda x: np.vectorize(
         lambda r: analytic.relay_distance_cdf(params, float(r)))(x))
@@ -282,23 +270,22 @@ def test_link_success_matches_closed_form():
 # ---------------------------------------------------------------------
 
 def test_collect_trials_is_deterministic():
-    sim = simulate.SimConfig(window_radius=8.0, trials=12, seed=77, guard_radius=20.0)
+    sim = simulate.SimConfig(trials=12, seed=77, guard_radius=20.0)
     a = simulate.collect_trials(BASE, sim)
     b = simulate.collect_trials(BASE, sim)
-    assert all(_same_sample(x, y) for x, y in zip(a, b))
+    assert a == b
     assert [s.trial for s in a] == list(range(12))
 
 
-def test_collect_trials_unreachable_region():
-    # dead zone larger than the window: no relay can ever be found
-    params = _with(BASE, r_m=20.0)
-    sim = simulate.SimConfig(window_radius=15.0, trials=50, seed=3, guard_radius=20.0)
-    samples = simulate.collect_trials(params, sim)
-    assert not any(s.relay_found for s in samples)
-    assert all(s.progress == 0.0 for s in samples)
-    est = simulate.summarize_trials(samples, params)
-    assert est.relay_found_fraction == 0.0
-    assert est.mean == 0.0
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_estimator_agrees_at_a_distant_reference(variant):
+    # r_m = 20/sqrt(lambda) puts every relay twenty relay scales out; the
+    # kernel must still draw it, and the estimate meet the closed form
+    params = NetworkParams(lam=1.0, alpha=3.0, beta=0.1, p=0.01, phi=math.pi / 2, r_m=20.0)
+    sim = simulate.SimConfig.for_params(params, trials=2000, seed=3)
+    est = simulate.estimate_density_of_progress(params, sim, variant)
+    target = analytic.expected_density_closed(params, variant)
+    assert abs(est.mean - target) < 3.0 * est.std_error
 
 
 def test_worker_count_caps_a_huge_request():
@@ -309,21 +296,21 @@ def test_worker_count_caps_a_huge_request():
 
 
 def test_collect_trials_parallel_matches_serial():
-    sim = simulate.SimConfig(window_radius=6.0, trials=60, seed=123, guard_radius=10.0)
+    sim = simulate.SimConfig(trials=60, seed=123, guard_radius=10.0)
     serial = simulate.collect_trials(BASE, sim, workers=1)
     parallel = simulate.collect_trials(BASE, sim, workers=2)
     assert [s.trial for s in serial] == list(range(60))
-    assert all(_same_sample(a, b) for a, b in zip(serial, parallel))
+    assert serial == parallel
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
     # 100 trials end inside the chunk that 150 trials run past
     assert 100 // simulate.CHUNK < 150 // simulate.CHUNK and 100 % simulate.CHUNK
-    sim = simulate.SimConfig(window_radius=6.0, trials=150, seed=123, guard_radius=10.0)
+    sim = simulate.SimConfig(trials=150, seed=123, guard_radius=10.0)
     long = simulate.collect_trials(BASE, sim)
     short = simulate.collect_trials(BASE, dataclasses.replace(sim, trials=100))
     assert len(short) == 100
-    assert all(_same_sample(a, b) for a, b in zip(short, long))
+    assert short == long[:100]
 
 
 class _ZeroFirst:
@@ -358,13 +345,13 @@ def _force_degenerate(monkeypatch, chunk):
 
 def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     chunk = simulate.CHUNK
-    sim = simulate.SimConfig(window_radius=6.0, trials=3 * chunk, seed=5, guard_radius=10.0)
+    sim = simulate.SimConfig(trials=3 * chunk, seed=5, guard_radius=10.0)
     clean = simulate.collect_trials(BASE, sim)
     radii = (sim.guard_radius,)
     attempt1 = simulate._with_far_field(
         BASE, ProtocolVariant.DIRECTIONAL, radii,
         *simulate._chunk_near_field(
-            BASE, sim, ProtocolVariant.DIRECTIONAL, radii,
+            BASE, ProtocolVariant.DIRECTIONAL, radii,
             simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1),
         ),
     )[0]
@@ -373,9 +360,8 @@ def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     second = simulate.collect_trials(BASE, sim)
     # the interferer on the relay sends chunk 1 to its next attempt
     assert cells == [(0, 0), (1, 0), (1, 1), (2, 0)] * 2
-    assert all(_same_sample(a, b) for a, b in zip(first, second))
-    kept = first[:chunk] + first[2 * chunk:]
-    assert all(_same_sample(a, b) for a, b in zip(kept, clean[:chunk] + clean[2 * chunk:]))
+    assert first == second
+    assert first[:chunk] + first[2 * chunk:] == clean[:chunk] + clean[2 * chunk:]
     assert [s.progress for s in first[chunk:2 * chunk]] == attempt1.tolist()
 
 
@@ -391,7 +377,7 @@ def test_degenerate_link_chunk_is_redrawn(monkeypatch):
 def test_summarize_trials_exact_scaling():
     params = _with(BASE, lam=2.0, p=0.2)
     samples = [
-        simulate.TrialSample(i, True, 1.0, 1.0, float(v))
+        simulate.TrialSample(i, 1.0, 1.0, float(v))
         for i, v in enumerate([1.0, 2.0, 3.0])
     ]
     est = simulate.summarize_trials(samples, params)
@@ -399,17 +385,16 @@ def test_summarize_trials_exact_scaling():
     assert est.mean == scale * 2.0
     assert est.std_error == pytest.approx(scale * 1.0 / math.sqrt(3.0), rel=1e-15)
     assert est.trials_used == 3
-    assert est.relay_found_fraction == 1.0
 
 
 def test_summarize_trials_needs_two_trials():
-    samples = [simulate.TrialSample(0, True, 1.0, 1.0, 1.0)]
+    samples = [simulate.TrialSample(0, 1.0, 1.0, 1.0)]
     with pytest.raises(DomainError):
         simulate.summarize_trials(samples, BASE)
 
 
 def test_validate_for_estimation_names_violations():
-    sim = simulate.SimConfig(window_radius=15.0, trials=50, seed=0, guard_radius=5.0)
+    sim = simulate.SimConfig(trials=50, seed=0, guard_radius=5.0)
     with pytest.raises(ParameterError) as err:
         simulate.validate_for_estimation(BASE, sim)
     message = str(err.value)
@@ -430,7 +415,6 @@ def test_estimator_agrees_with_closed_form(phi, variant):
     z = (est.mean - target) / est.std_error
     assert abs(z) < 3.0
     assert est.trials_used == 2000
-    assert est.relay_found_fraction > 0.9
 
 
 def test_variants_coincide_at_full_circle():
@@ -440,15 +424,12 @@ def test_variants_coincide_at_full_circle():
     sim = simulate.SimConfig.for_params(params, trials=100, seed=19)
     directional = simulate.collect_trials(params, sim, ProtocolVariant.DIRECTIONAL)
     omni = simulate.collect_trials(params, sim, ProtocolVariant.OMNIDIRECTIONAL)
-    assert sum(s.relay_found for s in directional) > 90
-    assert all(_same_sample(a, b) for a, b in zip(directional, omni))
+    assert directional == omni
 
 
 def test_estimator_orders_transmission_probabilities():
     # p = 0.5 wastes the network on interference; p near the optimum wins
-    sim = lambda seed: simulate.SimConfig(
-        window_radius=10.0, trials=500, seed=seed, guard_radius=40.0
-    )
+    sim = lambda seed: simulate.SimConfig(trials=500, seed=seed, guard_radius=40.0)
     good = simulate.estimate_density_of_progress(_with(OPT, p=0.12), sim(31))
     bad = simulate.estimate_density_of_progress(_with(OPT, p=0.5), sim(32))
     assert bad.mean + 3 * bad.std_error < good.mean - 3 * good.std_error
@@ -458,11 +439,10 @@ def test_fading_scale_invariance():
     # Rayleigh fading enters P_s only through the SIR, a ratio of
     # exponentials, so the fading scale cancels: the trial kernel integrates
     # fading out and its progress is bitwise independent of mu
-    sim = simulate.SimConfig(window_radius=8.0, trials=300, seed=5, guard_radius=30.0)
+    sim = simulate.SimConfig(trials=300, seed=5, guard_radius=30.0)
     base = simulate.collect_trials(BASE, sim)
     scaled = simulate.collect_trials(_with(BASE, mu=5.0), sim)
-    assert all(_same_sample(a, b) for a, b in zip(base, scaled))
-    assert sum(a.relay_found for a in base) > 290
+    assert base == scaled
     ea = simulate.summarize_trials(base, BASE)
     eb = simulate.summarize_trials(scaled, BASE)
     assert abs(ea.mean - eb.mean) < 3.0 * math.hypot(ea.std_error, eb.std_error)
@@ -509,21 +489,16 @@ def test_far_field_integral_domain_errors():
 def test_empty_near_field_gives_the_closed_success_probability(variant):
     # a near field too small to hold a point leaves only the exact far
     # field, whose radius-0 limit is the closed-form success probability
-    sim = simulate.SimConfig(window_radius=15.0, trials=40, seed=9, guard_radius=1e-8)
-    found = 0
+    sim = simulate.SimConfig(trials=40, seed=9, guard_radius=1e-8)
     for sample in simulate.collect_trials(OPT, sim, variant):
-        if not sample.relay_found:
-            continue
-        found += 1
         expected = sample.d * sample.cos_offset * analytic.success_probability(
             OPT, sample.d, variant
         )
         assert sample.progress == pytest.approx(expected, rel=1e-12)
-    assert found > 30
 
 
 def test_near_field_radius_leaves_the_estimate_unbiased():
-    sim = simulate.SimConfig(window_radius=15.0, trials=500, seed=3, guard_radius=10.0)
+    sim = simulate.SimConfig(trials=500, seed=3, guard_radius=10.0)
     small, large = simulate.guard_sensitivity(OPT, sim, guards=[5.0, 20.0])
     assert abs(small.mean - large.mean) < 3.0 * math.hypot(small.std_error, large.std_error)
 
@@ -536,8 +511,6 @@ def test_default_near_field_dominates_the_interference():
     density = analytic.interferer_density(OPT)
     far = total = 0.0
     for sample in simulate.collect_trials(OPT, sim):
-        if not sample.relay_found:
-            continue
         s = OPT.beta * sample.d**OPT.alpha
         far += density * simulate.far_field_integral(s, OPT.alpha, sim.guard_radius)
         total -= math.log(sample.progress / (sample.d * sample.cos_offset))
@@ -545,13 +518,13 @@ def test_default_near_field_dominates_the_interference():
 
 
 def test_guard_doubling_shifts_less_than_one_sigma():
-    sim = simulate.SimConfig(window_radius=10.0, trials=400, seed=17, guard_radius=40.0)
+    sim = simulate.SimConfig(trials=400, seed=17, guard_radius=40.0)
     far, near = simulate.guard_sensitivity(OPT, sim, guards=[80.0, 40.0])
     assert abs(far.mean - near.mean) < max(far.std_error, near.std_error)
 
 
 def test_directional_beats_omni_in_simulation():
-    sim = simulate.SimConfig(window_radius=10.0, trials=600, seed=53, guard_radius=40.0)
+    sim = simulate.SimConfig(trials=600, seed=53, guard_radius=40.0)
     directional = simulate.estimate_density_of_progress(OPT, sim)
     omni = simulate.estimate_density_of_progress(
         OPT, sim, ProtocolVariant.OMNIDIRECTIONAL
