@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import locale  # noqa: F401  (argparse's gettext imports it in parse_args; load it with the module)
 import math
 import os
 import sys
@@ -252,9 +253,7 @@ def _row_fig5(phi: float, params: NetworkParams, settings: dict, seed: int) -> t
         ):
             at_opt = dataclasses.replace(trial, p=best.p_star, r_m=best.rm_star)
             sim = simulate.SimConfig.for_params(at_opt, settings["trials"], seed)
-            est = simulate.estimate_density_of_progress(
-                at_opt, sim, variant, workers=settings["workers"]
-            )
+            est = simulate.estimate_density_of_progress(at_opt, sim, variant)
             row += [est.mean, est.std_error]
     return tuple(row + [_certified_status(best_dir, best_omni)])
 
@@ -416,7 +415,7 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         params, settings["trials"], settings["seed"], guard_radius=settings["guard_radius"]
     )
     simulate.validate_for_estimation(params, sim)
-    samples = simulate.collect_trials(params, sim, variant, settings["workers"])
+    samples = simulate.collect_trials(params, sim, variant)
     est = simulate.summarize_trials(samples, params)
     closed = analytic.expected_density_closed(params, variant)
     z = (est.mean - closed) / est.std_error if est.std_error > 0 else math.nan
@@ -626,8 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"(default ${OUTDIR_ENV} or the working directory)")
     rg.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
     rg.add_argument("--workers", type=int, default=1,
-                    help="processes for Monte-Carlo trials (simulate, fig5 --simulate); "
-                    "results are identical for any value")
+                    help="accepted and ignored: trials run in one process")
 
     sub = top.add_subparsers(dest="command", metavar="COMMAND")
 

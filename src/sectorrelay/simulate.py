@@ -45,9 +45,9 @@ uniforms, relay angles, interferer counts, interferer squared radii. Each
 trial's near-field log P_s is one segment sum (np.add.reduceat); the far
 field is evaluated once per run, over all trials after the chunks are
 joined. The kernel always draws a whole chunk and keeps the trials the
-run asks for, so trial i's sample depends only on (seed, i): not on the
-trial count, nor on the worker count. A chunk with an interferer on its
-relay (measure zero) is redrawn under the next attempt.
+run asks for, so trial i's sample depends only on (seed, i), not on the
+trial count. A chunk with an interferer on its relay (measure zero) is
+redrawn under the next attempt.
 
 A trial record holds trial, d, cos_offset and progress; there are no
 per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
@@ -61,8 +61,6 @@ changes of the fading rate mu; the trial kernel does not depend on mu.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,9 +76,9 @@ _TAG_TRIAL = 0
 _TAG_LINK = 1
 _TAG_SAMPLE = 2
 
-#: Trials per substream. Fixed, so that a trial's sample depends on neither
-#: the trial count nor the worker count; small, so a chunk's arrays stay
-#: small (at most about 20k interferer radii at the default near field).
+#: Trials per substream. Fixed, so that a trial's sample does not depend on
+#: the trial count; small, so a chunk's arrays stay small (at most about
+#: 20k interferer radii at the default near field).
 CHUNK = 32
 
 #: CSV column order and schema version of per-trial streams.
@@ -391,43 +389,24 @@ def _with_far_field(
     return progress
 
 
-def _trial_chunks(args) -> list:
-    """The kernel's results for chunks [start, stop), in chunk order."""
-    params, sim, variant, radii, start, stop = args
-    return [
-        _redrawn(
-            lambda rng: _chunk_near_field(params, variant, radii, rng),
-            sim.seed, _TAG_TRIAL, chunk,
-        )
-        for chunk in range(start, stop)
-    ]
-
-
 def _run_trials(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
-    workers: int = 1,
 ):
     """(d, cos_offset, progress) of trials 0 .. sim.trials-1.
 
     The chunks draw and sum the near field; the far field is evaluated
     once over all trials after they are joined.
     """
-    chunks = math.ceil(sim.trials / CHUNK)
-    workers = worker_count(workers, chunks)
-    step = math.ceil(chunks / (workers * 4))
-    jobs = [
-        (params, sim, variant, radii, start, min(start + step, chunks))
-        for start in range(0, chunks, step)
+    results = [
+        _redrawn(
+            lambda rng: _chunk_near_field(params, variant, radii, rng),
+            sim.seed, _TAG_TRIAL, chunk,
+        )
+        for chunk in range(math.ceil(sim.trials / CHUNK))
     ]
-    if workers <= 1:
-        parts = list(map(_trial_chunks, jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_chunks, jobs))
-    results = [result for part in parts for result in part]
     d, cos_offset, near = (
         np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
     )
@@ -439,25 +418,15 @@ def collect_trials(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-    workers: int = 1,
 ) -> list[TrialSample]:
-    """All trial samples in trial order, optionally across processes.
-
-    Chunks own independent substreams and results are reassembled in chunk
-    order, so the output is bit-identical for any worker count.
-    """
+    """All trial samples in trial order."""
     params.validate()
     sim.validate()
-    d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)
+    d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,))
     return [
         TrialSample(i, *values)
         for i, values in enumerate(zip(d.tolist(), cos_offset.tolist(), progress[0].tolist()))
     ]
-
-
-def worker_count(requested: int, jobs: int) -> int:
-    """Processes worth starting: no more than the jobs or the CPUs."""
-    return min(requested, jobs, os.cpu_count() or 1)
 
 
 def _estimate(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
@@ -465,9 +434,14 @@ def _estimate(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
     if n < 2:
         raise DomainError("need at least 2 trials to form a std_error")
     scale = params.p * params.lam
+    # np.std squares the values, which underflow below about 1e-154: divide by
+    # a power of two near the largest first. Scaling by a power of two is
+    # exact, so wherever nothing underflowed the result keeps its bits.
+    exponent = math.frexp(float(np.max(np.abs(progress))))[1]
+    spread = math.ldexp(float(np.std(np.ldexp(progress, -exponent), ddof=1)), exponent)
     return ProgressEstimate(
         mean=scale * float(np.mean(progress)),
-        std_error=scale * float(np.std(progress, ddof=1)) / math.sqrt(n),
+        std_error=scale * spread / math.sqrt(n),
         trials_used=n,
     )
 
@@ -507,7 +481,6 @@ def estimate_density_of_progress(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-    workers: int = 1,
 ) -> ProgressEstimate:
     """Monte-Carlo estimate of the expected density of progress.
 
@@ -515,7 +488,7 @@ def estimate_density_of_progress(
     preconditions enforced on entry.
     """
     validate_for_estimation(params, sim)
-    progress = _run_trials(params, sim, variant, (sim.guard_radius,), workers)[-1]
+    progress = _run_trials(params, sim, variant, (sim.guard_radius,))[-1]
     return _estimate(progress[0], params)
 
 

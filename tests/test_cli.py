@@ -84,11 +84,14 @@ def test_fig2_reruns_are_byte_identical(tmp_path):
     ids=["fig2", "simulate", "fig5"],
 )
 def test_parallel_workers_match_serial(tmp_path, argv, tables):
-    a, b = tmp_path / "a", tmp_path / "b"
+    # --workers is accepted and ignored, whatever its value
+    a = tmp_path / "a"
     assert cli.main(argv + ["--outdir", str(a)]) == 0
-    assert cli.main(argv + ["--workers", "2", "--outdir", str(b)]) == 0
-    for name in tables:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    for workers in ("2", "0", "-1"):
+        b = tmp_path / workers
+        assert cli.main(argv + ["--workers", workers, "--outdir", str(b)]) == 0
+        for name in tables:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_fig2_manifest_replay(tmp_path):
@@ -376,6 +379,18 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_simulate_std_error_survives_tiny_progress(tmp_path):
+    # per-trial progress near 1e-172: its squares underflow to zero
+    rc = cli.main([
+        "simulate", "--trials", "2000", "--alpha", "2.2", "--beta-db", "30",
+        "--p", "0.01", "--r-m", "3", "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    _, rows = read_table(tmp_path / "simulate.csv")
+    assert float(rows[0]["std_error"]) > 0.0
+    assert math.isfinite(float(rows[0]["z_score"]))
+
+
 def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
     rc = cli.main(["simulate", "--trials", "50", "--outdir", str(tmp_path)])
     assert rc == 2
@@ -555,3 +570,29 @@ def test_package_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report == {"codes": [0, 0, 0], "scipy": []}
+
+
+STARTUP_SCRIPT = """
+import json, sys, tempfile
+import sectorrelay.cli
+
+pools = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    code = sectorrelay.cli.main(["fig34", "--phi-grid", "1.0", "--outdir", out])
+print(json.dumps({"code": code, "pools": pools, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_commands_import_nothing_after_startup():
+    # a module a command imports lazily lands inside its run time; the
+    # process pool's modules have no place in start-up at all
+    src = Path(sectorrelay.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report == {"code": 0, "pools": [], "added": []}

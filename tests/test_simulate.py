@@ -10,7 +10,6 @@ their budgets, not at the edge.
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -286,21 +285,6 @@ def test_estimator_agrees_at_a_distant_reference(variant):
     est = simulate.estimate_density_of_progress(params, sim, variant)
     target = analytic.expected_density_closed(params, variant)
     assert abs(est.mean - target) < 3.0 * est.std_error
-
-
-def test_worker_count_caps_a_huge_request():
-    cpus = os.cpu_count() or 1
-    assert simulate.worker_count(10**9, 10**6) == min(10**6, cpus)
-    assert simulate.worker_count(10**9, 1) == 1
-    assert simulate.worker_count(1, 10**6) == 1
-
-
-def test_collect_trials_parallel_matches_serial():
-    sim = simulate.SimConfig(trials=60, seed=123, guard_radius=10.0)
-    serial = simulate.collect_trials(BASE, sim, workers=1)
-    parallel = simulate.collect_trials(BASE, sim, workers=2)
-    assert [s.trial for s in serial] == list(range(60))
-    assert serial == parallel
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
