@@ -13,6 +13,7 @@ import numpy as np
 from sectorrelay import analytic, optimize
 from sectorrelay.model import (
     NetworkParams,
+    ProtocolVariant,
     radial_decay_rate,
     spatial_interference_constant,
 )
@@ -50,11 +51,15 @@ print()
 # =====================================================================
 print("== beamwidth sweep ==")
 print("    phi      p*            r_m*         E*")
-report = optimize.p_constancy_report(base, list(np.linspace(math.pi / 6, 2 * math.pi, 8)))
-for row in report.rows:
-    print(f"  {row.phi:6.3f}   {row.p_star:.10f}  {row.rm_star:.8f}  {row.objective:.6e}")
-print(f"spread of p* (directional): {report.spread:.3e}   <- beamwidth-free")
-print(f"spread of p* (omni)       : {report.spread_omni:.3e}   <- genuinely moves")
+p_dir, p_omni = [], []
+for phi in np.linspace(math.pi / 6, 2 * math.pi, 8):
+    at_phi = dataclasses.replace(base, phi=float(phi))
+    d = optimize.optimize_joint(at_phi)
+    p_dir.append(d.p_star)
+    p_omni.append(optimize.optimize_joint(at_phi, ProtocolVariant.OMNIDIRECTIONAL).p_star)
+    print(f"  {phi:6.3f}   {d.p_star:.10f}  {d.rm_star:.8f}  {d.objective:.6e}")
+print(f"spread of p* (directional): {max(p_dir) - min(p_dir):.3e}   <- beamwidth-free")
+print(f"spread of p* (omni)       : {max(p_omni) - min(p_omni):.3e}   <- genuinely moves")
 print()
 
 # =====================================================================

@@ -165,7 +165,7 @@ def resolve_params(args, default_p: float | None = None) -> tuple[NetworkParams,
     if default_p is not None:
         mapping["p"] = default_p
     if getattr(args, "config", None):
-        file_map = parse_config_mapping(Path(args.config).read_text())
+        file_map = parse_config_mapping(Path(args.config).read_text(encoding="utf-8"))
         if "beta" in file_map:
             mapping.pop("beta_db", None)
         mapping.update(file_map)
@@ -415,8 +415,8 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         params, settings["trials"], settings["seed"], guard_radius=settings["guard_radius"]
     )
     simulate.validate_for_estimation(params, sim)
-    samples = simulate.collect_trials(params, sim, variant)
-    est = simulate.summarize_trials(samples, params)
+    trials = simulate.collect_trials(params, sim, variant)
+    est = simulate.summarize_trials(trials.progress, params)
     closed = analytic.expected_density_closed(params, variant)
     z = (est.mean - closed) / est.std_error if est.std_error > 0 else math.nan
     header = (
@@ -441,7 +441,8 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
     )
     outputs = [_write_csv(outdir, "simulate", header, [row], SIMULATE_SCHEMA_VERSION)]
     if settings["emit_trials"]:
-        trial_rows = [(s.trial, s.d, s.cos_offset, s.progress) for s in samples]
+        # .tolist(): _fmt formats Python floats faster than numpy scalars
+        trial_rows = zip(range(sim.trials), *(column.tolist() for column in trials))
         outputs.append(
             _write_csv(
                 outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows,
@@ -553,7 +554,7 @@ def _check_settings(options: dict, settings: dict, path: Path) -> None:
 def rerun_from_manifest(
     parser: argparse.ArgumentParser, path: Path, outdir_flag: str | None
 ) -> int:
-    doc = json.loads(path.read_text())
+    doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ParameterError([f"manifest {path} is not a JSON object"])
     missing = [key for key in ("command", "params", "settings") if key not in doc]
@@ -733,7 +734,7 @@ def main(argv=None) -> int:
     except (ParameterError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -135,9 +135,11 @@ class NetworkParams:
             raise ParameterError([f"missing config key: {k}" for k in missing])
         try:
             values = {k: float(v) for k, v in mapping.items()}
+            beta = values["beta"] if "beta" in values else 10.0 ** (values["beta_db"] / 10.0)
         except (TypeError, ValueError) as exc:
             raise ParameterError([f"non-numeric config value: {exc}"]) from exc
-        beta = values["beta"] if "beta" in values else 10.0 ** (values["beta_db"] / 10.0)
+        except OverflowError as exc:
+            raise ParameterError([f"config value out of float range: {exc}"]) from exc
         return cls(
             lam=values["lambda"],
             alpha=values["alpha"],

@@ -32,7 +32,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import analytic, specfun
 from .errors import DomainError, RootFindError
@@ -267,60 +267,3 @@ def optimize_joint(
     t_eff = effective_interference_constant(params, variant)
     p, u, iterations, converged = _stationary_point(t_eff)
     return _result(params, variant, t_eff, p, u, iterations, converged, fixed_p=False)
-
-
-@dataclass(frozen=True)
-class ConstancyRow:
-    """One beamwidth's jointly optimal operating point, both variants."""
-
-    phi: float
-    p_star: float
-    rm_star: float
-    objective: float
-    p_star_omni: float
-    rm_star_omni: float
-    objective_omni: float
-
-
-@dataclass(frozen=True)
-class ConstancyReport:
-    """Certificate that the directional p* does not move with beamwidth.
-
-    spread is max-minus-min of the directional p* column; spread_omni is
-    the same for the baseline, which genuinely varies with phi and serves
-    as the contrast.
-    """
-
-    rows: tuple[ConstancyRow, ...]
-    spread: float
-    spread_omni: float
-
-
-def p_constancy_report(
-    params: NetworkParams,
-    phis: Sequence[float],
-) -> ConstancyReport:
-    """Jointly optimize at each beamwidth and tabulate both variants."""
-    rows = []
-    for phi in phis:
-        base = dataclasses.replace(params, phi=float(phi))
-        d = optimize_joint(base, ProtocolVariant.DIRECTIONAL)
-        o = optimize_joint(base, ProtocolVariant.OMNIDIRECTIONAL)
-        rows.append(
-            ConstancyRow(
-                phi=float(phi),
-                p_star=d.p_star,
-                rm_star=d.rm_star,
-                objective=d.objective,
-                p_star_omni=o.p_star,
-                rm_star_omni=o.rm_star,
-                objective_omni=o.objective,
-            )
-        )
-    p_vals = [r.p_star for r in rows]
-    o_vals = [r.p_star_omni for r in rows]
-    return ConstancyReport(
-        rows=tuple(rows),
-        spread=max(p_vals) - min(p_vals),
-        spread_omni=max(o_vals) - min(o_vals),
-    )

@@ -49,19 +49,22 @@ run asks for, so trial i's sample depends only on (seed, i), not on the
 trial count. A chunk with an interferer on its relay (measure zero) is
 redrawn under the next attempt.
 
-A trial record holds trial, d, cos_offset and progress; there are no
-per-trial SIR diagnostics. simulate_link_success keeps the raw SIR
-indicator (interferer positions, beam headings, sector coverage and fading
-all sampled) as the independent check of the thinning and fading laws,
-batched in chunks on its own stream tag. Its fading is drawn through the
-inverse exponential CDF, which makes that SIR exactly invariant under
-changes of the fading rate mu; the trial kernel does not depend on mu.
+collect_trials returns the trials as three arrays in trial order, d,
+cos_offset and progress, and summarize_trials reduces the progress array
+to the estimate; there are no per-trial SIR diagnostics.
+simulate_link_success keeps the raw SIR indicator (interferer positions,
+beam headings, sector coverage and fading all sampled) as the
+independent check of the thinning and fading laws, batched in chunks on
+its own stream tag. Its fading is drawn through the inverse exponential
+CDF, which makes that SIR exactly invariant under changes of the fading
+rate mu; the trial kernel does not depend on mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
@@ -105,8 +108,8 @@ class SimConfig:
             violations.append(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             violations.append(f"seed must be a 64-bit integer, got {self.seed}")
-        if not (self.guard_radius > 0):
-            violations.append(f"guard_radius must be > 0, got {self.guard_radius}")
+        if not (0 < self.guard_radius < math.inf):
+            violations.append(f"guard_radius must be finite and > 0, got {self.guard_radius}")
         if violations:
             raise ParameterError(violations)
         return self
@@ -136,17 +139,15 @@ class SimConfig:
         return 10.0 / math.sqrt(params.lam)
 
 
-@dataclass(frozen=True)
-class TrialSample:
-    """Per-trial outcome.
+class Trials(NamedTuple):
+    """Per-trial outcomes in trial order: trial i sits at index i.
 
     progress is the conditional expected progress d*cos_offset*P_s.
     """
 
-    trial: int
-    d: float
-    cos_offset: float
-    progress: float
+    d: np.ndarray
+    cos_offset: np.ndarray
+    progress: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -259,7 +260,7 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # =====================================================================
-# the trial kernel and estimators
+# the trial kernel and estimator
 # =====================================================================
 
 def _pfaff_series(w: np.ndarray, c: float) -> np.ndarray:
@@ -418,18 +419,21 @@ def collect_trials(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> list[TrialSample]:
-    """All trial samples in trial order."""
+) -> Trials:
+    """All trials in trial order."""
     params.validate()
     sim.validate()
     d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,))
-    return [
-        TrialSample(i, *values)
-        for i, values in enumerate(zip(d.tolist(), cos_offset.tolist(), progress[0].tolist()))
-    ]
+    return Trials(d, cos_offset, progress[0])
 
 
-def _estimate(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
+def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
+    """Reduce per-trial progress to the density-of-progress estimate.
+
+    The estimator is p*lambda times the sample mean of per-trial progress;
+    the reduction uses numpy's pairwise summation over the trial-ordered
+    array, so it is reproducible bit-for-bit.
+    """
     n = len(progress)
     if n < 2:
         raise DomainError("need at least 2 trials to form a std_error")
@@ -444,16 +448,6 @@ def _estimate(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
         std_error=scale * spread / math.sqrt(n),
         trials_used=n,
     )
-
-
-def summarize_trials(samples: list[TrialSample], params: NetworkParams) -> ProgressEstimate:
-    """Reduce per-trial progress to the density-of-progress estimate.
-
-    The estimator is p*lambda times the sample mean of per-trial progress;
-    the reduction uses numpy's pairwise summation over the trial-ordered
-    array, so it is reproducible bit-for-bit.
-    """
-    return _estimate(np.array([s.progress for s in samples], dtype=float), params)
 
 
 def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:
@@ -489,7 +483,7 @@ def estimate_density_of_progress(
     """
     validate_for_estimation(params, sim)
     progress = _run_trials(params, sim, variant, (sim.guard_radius,))[-1]
-    return _estimate(progress[0], params)
+    return summarize_trials(progress[0], params)
 
 
 def guard_sensitivity(
@@ -511,7 +505,7 @@ def guard_sensitivity(
     if not guards:
         raise DomainError("need at least one guard radius")
     progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))[-1]
-    return [_estimate(row, params) for row in progress]
+    return [summarize_trials(row, params) for row in progress]
 
 
 # =====================================================================

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sectorrelay
@@ -378,6 +379,15 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     for name in ("simulate.csv", "simulate_trials.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    # the table, fig5's estimator and the emitted trials give one estimate
+    params = NetworkParams.from_mapping(manifest_of(a, "simulate")["params"])
+    est = simulate.estimate_density_of_progress(
+        params, simulate.SimConfig.for_params(params, 150, 9)
+    )
+    assert (float(row["mean"]), float(row["std_error"])) == (est.mean, est.std_error)
+    progress = np.array([float(r["progress"]) for r in trial_rows])
+    assert simulate.summarize_trials(progress, params).mean == est.mean
+
 
 def test_simulate_std_error_survives_tiny_progress(tmp_path):
     # per-trial progress near 1e-172: its squares underflow to zero
@@ -402,8 +412,9 @@ def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
     [
         ["fig5", "--simulate", "--trials", "50", "--phi-grid", "1.0"],
         ["simulate", "--trials", "50"],
+        ["simulate", "--trials", "200", "--guard-radius", "inf"],
     ],
-    ids=["fig5", "simulate"],
+    ids=["fig5", "simulate", "simulate-infinite-guard"],
 )
 def test_rejected_run_creates_no_outdir(tmp_path, argv):
     outdir = tmp_path / "out"
@@ -501,6 +512,15 @@ def test_missing_manifest_is_a_usage_error(tmp_path, capsys):
                           "variant": "directional", "emit_trials": False, "bogus": 1}},
             "bogus",
         ),
+        (
+            {"command": "fig2", "params": {**GOOD_PARAMS, "lambda": 10**400}, "settings": {}},
+            "out of float range",
+        ),
+        (
+            {"command": "fig2", "settings": {},
+             "params": {"lambda": 1.0, "alpha": 3.0, "beta_db": 4000.0, "p": 0.1, "phi": 1.0}},
+            "out of float range",
+        ),
     ],
 )
 def test_malformed_manifest_is_a_usage_error(tmp_path, capsys, doc, named):
@@ -511,6 +531,19 @@ def test_malformed_manifest_is_a_usage_error(tmp_path, capsys, doc, named):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("as_manifest", [False, True], ids=["config", "manifest"])
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys, as_manifest):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("phi = 1.0  # \u00e9\n".encode("latin-1"))
+    if as_manifest:
+        argv = ["--from-manifest", str(path), "--outdir", str(tmp_path / "out")]
+    else:
+        argv = ["optimize", "--config", str(path), "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

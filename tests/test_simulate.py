@@ -190,12 +190,12 @@ def test_trial_kernel_relays_follow_the_closed_laws():
     # must be uniform over the sector
     params = _with(BASE, r_m=0.1)
     sim = simulate.SimConfig(trials=6000, seed=21, guard_radius=1.0)
-    samples = simulate.collect_trials(params, sim)
-    ds = np.array([s.d for s in samples])
+    trials = simulate.collect_trials(params, sim)
+    ds = trials.d
     result = stats.kstest(ds, lambda x: np.vectorize(
         lambda r: analytic.relay_distance_cdf(params, float(r)))(x))
     assert result.pvalue > 0.01
-    angles = np.arccos(np.clip([s.cos_offset for s in samples], -1.0, 1.0))
+    angles = np.arccos(np.clip(trials.cos_offset, -1.0, 1.0))
     assert stats.kstest(angles / (params.phi / 2), "uniform").pvalue > 0.01
 
 
@@ -268,12 +268,17 @@ def test_link_success_matches_closed_form():
 # full trials and the progress estimator
 # ---------------------------------------------------------------------
 
+def _same_trials(a, b) -> bool:
+    """Whether two Trials hold bitwise the same values in every column."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
 def test_collect_trials_is_deterministic():
     sim = simulate.SimConfig(trials=12, seed=77, guard_radius=20.0)
     a = simulate.collect_trials(BASE, sim)
     b = simulate.collect_trials(BASE, sim)
-    assert a == b
-    assert [s.trial for s in a] == list(range(12))
+    assert _same_trials(a, b)
+    assert [len(column) for column in a] == [12, 12, 12]
 
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
@@ -293,8 +298,8 @@ def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
     sim = simulate.SimConfig(trials=150, seed=123, guard_radius=10.0)
     long = simulate.collect_trials(BASE, sim)
     short = simulate.collect_trials(BASE, dataclasses.replace(sim, trials=100))
-    assert len(short) == 100
-    assert short == long[:100]
+    assert len(short.progress) == 100
+    assert _same_trials(short, (column[:100] for column in long))
 
 
 class _ZeroFirst:
@@ -344,9 +349,10 @@ def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     second = simulate.collect_trials(BASE, sim)
     # the interferer on the relay sends chunk 1 to its next attempt
     assert cells == [(0, 0), (1, 0), (1, 1), (2, 0)] * 2
-    assert first == second
-    assert first[:chunk] + first[2 * chunk:] == clean[:chunk] + clean[2 * chunk:]
-    assert [s.progress for s in first[chunk:2 * chunk]] == attempt1.tolist()
+    assert _same_trials(first, second)
+    others = np.r_[:chunk, 2 * chunk:3 * chunk]
+    assert _same_trials((c[others] for c in first), (c[others] for c in clean))
+    assert first.progress[chunk:2 * chunk].tolist() == attempt1.tolist()
 
 
 def test_degenerate_link_chunk_is_redrawn(monkeypatch):
@@ -360,11 +366,7 @@ def test_degenerate_link_chunk_is_redrawn(monkeypatch):
 
 def test_summarize_trials_exact_scaling():
     params = _with(BASE, lam=2.0, p=0.2)
-    samples = [
-        simulate.TrialSample(i, 1.0, 1.0, float(v))
-        for i, v in enumerate([1.0, 2.0, 3.0])
-    ]
-    est = simulate.summarize_trials(samples, params)
+    est = simulate.summarize_trials(np.array([1.0, 2.0, 3.0]), params)
     scale = 0.2 * 2.0
     assert est.mean == scale * 2.0
     assert est.std_error == pytest.approx(scale * 1.0 / math.sqrt(3.0), rel=1e-15)
@@ -372,9 +374,8 @@ def test_summarize_trials_exact_scaling():
 
 
 def test_summarize_trials_needs_two_trials():
-    samples = [simulate.TrialSample(0, 1.0, 1.0, 1.0)]
     with pytest.raises(DomainError):
-        simulate.summarize_trials(samples, BASE)
+        simulate.summarize_trials(np.array([1.0]), BASE)
 
 
 def test_validate_for_estimation_names_violations():
@@ -408,7 +409,7 @@ def test_variants_coincide_at_full_circle():
     sim = simulate.SimConfig.for_params(params, trials=100, seed=19)
     directional = simulate.collect_trials(params, sim, ProtocolVariant.DIRECTIONAL)
     omni = simulate.collect_trials(params, sim, ProtocolVariant.OMNIDIRECTIONAL)
-    assert directional == omni
+    assert _same_trials(directional, omni)
 
 
 def test_estimator_orders_transmission_probabilities():
@@ -426,9 +427,9 @@ def test_fading_scale_invariance():
     sim = simulate.SimConfig(trials=300, seed=5, guard_radius=30.0)
     base = simulate.collect_trials(BASE, sim)
     scaled = simulate.collect_trials(_with(BASE, mu=5.0), sim)
-    assert base == scaled
-    ea = simulate.summarize_trials(base, BASE)
-    eb = simulate.summarize_trials(scaled, BASE)
+    assert _same_trials(base, scaled)
+    ea = simulate.summarize_trials(base.progress, BASE)
+    eb = simulate.summarize_trials(scaled.progress, BASE)
     assert abs(ea.mean - eb.mean) < 3.0 * math.hypot(ea.std_error, eb.std_error)
 
 
@@ -474,11 +475,9 @@ def test_empty_near_field_gives_the_closed_success_probability(variant):
     # a near field too small to hold a point leaves only the exact far
     # field, whose radius-0 limit is the closed-form success probability
     sim = simulate.SimConfig(trials=40, seed=9, guard_radius=1e-8)
-    for sample in simulate.collect_trials(OPT, sim, variant):
-        expected = sample.d * sample.cos_offset * analytic.success_probability(
-            OPT, sample.d, variant
-        )
-        assert sample.progress == pytest.approx(expected, rel=1e-12)
+    for d, cos_offset, progress in zip(*simulate.collect_trials(OPT, sim, variant)):
+        expected = d * cos_offset * analytic.success_probability(OPT, float(d), variant)
+        assert progress == pytest.approx(expected, rel=1e-12)
 
 
 def test_near_field_radius_leaves_the_estimate_unbiased():
@@ -494,10 +493,10 @@ def test_default_near_field_dominates_the_interference():
     assert sim.guard_radius >= sim.min_guard(OPT)
     density = analytic.interferer_density(OPT)
     far = total = 0.0
-    for sample in simulate.collect_trials(OPT, sim):
-        s = OPT.beta * sample.d**OPT.alpha
+    for d, cos_offset, progress in zip(*simulate.collect_trials(OPT, sim)):
+        s = OPT.beta * d**OPT.alpha
         far += density * simulate.far_field_integral(s, OPT.alpha, sim.guard_radius)
-        total -= math.log(sample.progress / (sample.d * sample.cos_offset))
+        total -= math.log(progress / (d * cos_offset))
     assert far < 0.1 * total
 
 
