@@ -37,12 +37,11 @@ from .model import (
     NetworkParams,
     ProtocolVariant,
     effective_interference_constant,
+    interferer_density,
     radial_decay_rate,
     relay_rate,
     spatial_interference_constant,
 )
-
-TWO_PI = 2.0 * math.pi
 
 BOUND_VARIANTS = ("standard", "alternate")
 
@@ -50,19 +49,6 @@ BOUND_VARIANTS = ("standard", "alternate")
 # =====================================================================
 # link-level success and relay geometry
 # =====================================================================
-
-def interferer_density(params: NetworkParams, variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL) -> float:
-    """Density of transmitters whose beam covers a fixed receiver.
-
-    Directional: each of the p*lambda transmitters covers the receiver with
-    probability phi/(2*pi) (independent uniform headings), an independent
-    thinning. Omnidirectional: all p*lambda transmitters interfere.
-    """
-    base = params.p * params.lam
-    if variant is ProtocolVariant.DIRECTIONAL:
-        return base * params.phi / TWO_PI
-    return base
-
 
 def success_probability(
     params: NetworkParams,
@@ -75,14 +61,8 @@ def success_probability(
     lambda and (directionally) phi; equal to 1 at d = 0. Independent of mu:
     the fading mean cancels from the SIR.
     """
-    params.validate()
     if d < 0:
         raise DomainError(f"link distance must be >= 0, got {d}")
-    return _success_probability(params, d, variant)
-
-
-def _success_probability(params: NetworkParams, d: float, variant: ProtocolVariant) -> float:
-    """success_probability without the checks, for valid params and d >= 0."""
     t = spatial_interference_constant(params.alpha, params.beta)
     return math.exp(-interferer_density(params, variant) * t * d * d)
 
@@ -94,7 +74,6 @@ def relay_distance_cdf(params: NetworkParams, r: float) -> float:
     of angle phi beyond r_m, so the void probability of the annular sector
     gives  1 - exp(-lambda*(1-p)*(phi/2)*(r^2 - r_m^2))  for r >= r_m.
     """
-    params.validate()
     if r < params.r_m:
         raise DomainError(
             f"relay distance {r} below the reference distance r_m={params.r_m}"
@@ -108,7 +87,6 @@ def relay_distance_pdf(params: NetworkParams, r: float) -> float:
     f(r) = lambda*(1-p)*phi * r * exp(-lambda*(1-p)*(phi/2)*(r^2 - r_m^2)),
     with f(r_m) = lambda*(1-p)*phi*r_m at the lower edge.
     """
-    params.validate()
     if r < params.r_m:
         raise DomainError(
             f"relay distance {r} below the reference distance r_m={params.r_m}"
@@ -149,7 +127,6 @@ def log_expected_density(
     averages to zero, so the value collapses to the rounding error of
     sin(phi/2); the defensive sin <= 0 branch returns -inf.
     """
-    params.validate()
     a, k = _decay_rates(params, variant)
     u = k * params.r_m**2
     s = math.sin(params.phi / 2.0)
@@ -198,19 +175,17 @@ def expected_density_numeric(
     thin sliver away from the lower limit (as it does in x when b*r_m^2
     is large): a fast outage decay only moves it towards s = 0, where the
     exp-sinh nodes cluster. Uses the success-probability formula as a
-    black box so the route stays independent of the closed form; it calls
-    its unchecked body, since params is validated once here and every
-    node lies in [r_m, inf). Raises QuadratureError rather than return a
-    value the rule could not certify (see specfun.integrate_semi_infinite).
+    black box so the route stays independent of the closed form. Raises
+    QuadratureError rather than return a value the rule could not certify
+    (see specfun.integrate_semi_infinite).
     """
-    params.validate()
     angular_mean = 2.0 / params.phi * math.sin(params.phi / 2.0)
     b = relay_rate(params)
     r_m2 = params.r_m**2
 
     def integrand(s: float) -> float:
         x = math.sqrt(r_m2 + s / b)
-        return _success_probability(params, x, variant) * x * math.exp(-s)
+        return success_probability(params, x, variant) * x * math.exp(-s)
 
     quad = specfun.integrate_semi_infinite(integrand, 0.0)
     return params.p * params.lam * angular_mean * quad.value
@@ -240,7 +215,6 @@ def rm_quadratic_roots(params: NetworkParams, variant: str = "standard") -> tupl
     for the standard variant at small t): the parabola is then positive
     everywhere and the stationarity argument constrains nothing.
     """
-    params.validate()
     if variant not in BOUND_VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}; use one of {BOUND_VARIANTS}")
     k = radial_decay_rate(params)
@@ -273,7 +247,6 @@ def rm_from_p(params: NetworkParams, p: float) -> float:
     the map agrees with the stationarity system at the joint optimum and
     scales as 1/sqrt(phi*lambda).
     """
-    params.validate()
     if not (0.0 < p < 1.0):
         raise DomainError(f"p must lie in (0, 1), got {p}")
     t = spatial_interference_constant(params.alpha, params.beta)

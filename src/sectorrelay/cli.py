@@ -126,14 +126,18 @@ def _grid_spec(text: str) -> list[float]:
     return values
 
 
+def _error_status(exc: Exception) -> str:
+    """The status cell of a row that failed with exc."""
+    return f"error: {type(exc).__name__}: {exc}"
+
+
 def _row_or_error(header, row, key, *args) -> tuple:
     """row(key, *args), or the failed row: the key, nan up to the table
     width and an error status."""
     try:
         return row(key, *args)
     except Exception as exc:
-        status = f"error: {type(exc).__name__}: {exc}"
-        return (key,) + (math.nan,) * (len(header) - 2) + (status,)
+        return (key,) + (math.nan,) * (len(header) - 2) + (_error_status(exc),)
 
 
 def _certified_status(*results) -> str:
@@ -166,11 +170,7 @@ def resolve_params(args, default_p: float | None = None) -> tuple[NetworkParams,
         mapping["p"] = default_p
     if getattr(args, "config", None):
         file_map = parse_config_mapping(Path(args.config).read_text(encoding="utf-8"))
-        if "beta" in file_map:
-            mapping.pop("beta_db", None)
-        mapping.update(file_map)
-    if args.beta_db is not None and args.beta_linear is not None:
-        raise ParameterError(["both --beta-db and --beta-linear given; use one"])
+        mapping = _overlay(mapping, file_map)
     flag_map = {
         "lambda": args.lam,
         "alpha": args.alpha,
@@ -181,17 +181,17 @@ def resolve_params(args, default_p: float | None = None) -> tuple[NetworkParams,
         "phi": args.phi,
         "r_m": args.r_m,
     }
-    overrides = []
-    for key, value in flag_map.items():
-        if value is None:
-            continue
-        if key == "beta":
-            mapping.pop("beta_db", None)
-        elif key == "beta_db":
-            mapping.pop("beta", None)
-        mapping[key] = value
-        overrides.append(f"{key}={value!r}")  # repr: shortest exact form
-    return NetworkParams.from_mapping(mapping), overrides
+    flags = {key: value for key, value in flag_map.items() if value is not None}
+    overrides = [f"{k}={v!r}" for k, v in flags.items()]  # repr: shortest exact form
+    return NetworkParams.from_mapping(_overlay(mapping, flags)), overrides
+
+
+def _overlay(mapping: dict, layer: dict) -> dict:
+    """mapping with layer on top; a layer that sets beta or beta_db replaces
+    both, so the threshold comes from one form only."""
+    if "beta" in layer or "beta_db" in layer:
+        mapping = {k: v for k, v in mapping.items() if k not in ("beta", "beta_db")}
+    return {**mapping, **layer}
 
 
 def _resolve_outdir(args) -> Path:
@@ -260,11 +260,7 @@ def _row_fig5(phi: float, params: NetworkParams, settings: dict, seed: int) -> t
 
 def _row_sweep(value: float, params: NetworkParams, settings: dict) -> tuple:
     key = settings["param"]
-    mapping = params.to_exact_mapping()
-    if key == "beta_db":
-        mapping.pop("beta", None)
-    mapping[key] = value
-    trial = NetworkParams.from_mapping(mapping)
+    trial = NetworkParams.from_mapping(_overlay(params.to_exact_mapping(), {key: value}))
     variant = ProtocolVariant(settings["variant"])
     if settings["optimize"] or settings["scaling"]:
         best = optimize.optimize_joint(trial, variant)
@@ -415,10 +411,6 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         params, settings["trials"], settings["seed"], guard_radius=settings["guard_radius"]
     )
     simulate.validate_for_estimation(params, sim)
-    trials = simulate.collect_trials(params, sim, variant)
-    est = simulate.summarize_trials(trials.progress, params)
-    closed = analytic.expected_density_closed(params, variant)
-    z = (est.mean - closed) / est.std_error if est.std_error > 0 else math.nan
     header = (
         "mean",
         "std_error",
@@ -429,6 +421,16 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         "z_score",
         "status",
     )
+    try:
+        trials = simulate.collect_trials(params, sim, variant)
+        est = simulate.summarize_trials(trials.progress, params)
+        closed = analytic.expected_density_closed(params, variant)
+    except Exception as exc:
+        # a run the model admits but the kernel cannot carry out: an error
+        # row, and no per-trial table
+        row = (math.nan,) * (len(header) - 1) + (_error_status(exc),)
+        return [_write_csv(outdir, "simulate", header, [row], SIMULATE_SCHEMA_VERSION)], [], 1
+    z = (est.mean - closed) / est.std_error if est.std_error > 0 else math.nan
     row = (
         est.mean,
         est.std_error,

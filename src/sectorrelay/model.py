@@ -55,6 +55,10 @@ class ProtocolVariant(enum.Enum):
 class NetworkParams:
     """Immutable parameter bundle; all lengths in common arbitrary units.
 
+    Checks itself when built (validate), so no instance outside the
+    admissible domain exists, whichever way it was made: the constructor,
+    from_mapping or dataclasses.replace.
+
     Attributes:
         lam: node density lambda of the parent point process (> 0).
         alpha: path-loss exponent (> 2, otherwise t is undefined).
@@ -73,9 +77,12 @@ class NetworkParams:
     mu: float = 1.0
     r_m: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "NetworkParams":
         """Check every admissibility condition; raise ParameterError naming
-        each violated one. Returns self so calls can be chained."""
+        each violated one. Runs on every construction; returns self."""
         violations = []
         if not (self.lam > 0 and math.isfinite(self.lam)):
             violations.append(f"lambda out of range (need lambda > 0, got {self.lam})")
@@ -148,7 +155,7 @@ class NetworkParams:
             phi=values["phi"],
             mu=values.get("mu", 1.0),
             r_m=values.get("r_m", 0.0),
-        ).validate()
+        )
 
 def parse_config_mapping(text: str) -> dict:
     """Raw key -> value mapping from config text, without validation.
@@ -212,14 +219,28 @@ def relay_rate(params: NetworkParams) -> float:
     return params.lam * (1.0 - params.p) * params.phi / 2.0
 
 
+def interferer_density(params: NetworkParams, variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL) -> float:
+    """Density of transmitters whose beam covers a fixed receiver.
+
+    Directional: each of the p*lambda transmitters covers the receiver with
+    probability phi/(2*pi) (independent uniform headings), an independent
+    thinning. Omnidirectional: all p*lambda transmitters interfere.
+    """
+    base = params.p * params.lam
+    if variant is ProtocolVariant.DIRECTIONAL:
+        return base * params.phi / TWO_PI
+    return base
+
+
 def effective_interference_constant(params: NetworkParams, variant: ProtocolVariant) -> float:
     """t_eff: the t that makes the directional formulas describe ``variant``.
 
     A directional interferer covers a receiver with probability
     phi/(2*pi); an omnidirectional one always does, which multiplies the
     outage exponent by 2*pi/phi: t_eff = t for the directional variant and
-    2*pi*t/phi for the omnidirectional one. This is the one place where
-    the variant enters the decay rates and the optimizer.
+    2*pi*t/phi for the omnidirectional one. t_eff carries the variant
+    into the decay rates and the optimizer; interferer_density carries it
+    into the link success probability and the simulator.
     """
     t = spatial_interference_constant(params.alpha, params.beta)
     if variant is ProtocolVariant.DIRECTIONAL:

@@ -247,7 +247,6 @@ def optimize_rm(
     The radial residual is positive at u = 0 and negative as u -> inf, and
     its one root in u gives r_m* = sqrt(u*/k).
     """
-    params.validate()
     t_eff = effective_interference_constant(params, variant)
     p, tau = params.p, t_eff / math.pi
     u, iterations, converged = _ascent_root(lambda x: _radial_slope(x, p, tau))
@@ -263,7 +262,6 @@ def optimize_joint(
     The stationary point at the variant's t_eff, then r_m* = sqrt(u*/k).
     The starting p and r_m in ``params`` are not used.
     """
-    params.validate()
     t_eff = effective_interference_constant(params, variant)
     p, u, iterations, converged = _stationary_point(t_eff)
     return _result(params, variant, t_eff, p, u, iterations, converged, fixed_p=False)

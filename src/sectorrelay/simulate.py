@@ -70,7 +70,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
 
 from .errors import DegenerateSampleError, DomainError, ParameterError
-from .model import NetworkParams, ProtocolVariant, relay_rate
+from .model import NetworkParams, ProtocolVariant, interferer_density, relay_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,11 +96,15 @@ class SimConfig:
     guard_radius is the near-field radius L around the relay inside which
     interferers are drawn (beyond it they are integrated out). seed is a
     64-bit integer; trials the number of independent network draws.
+    Checks itself when built (validate), as NetworkParams does.
     """
 
     trials: int
     seed: int
     guard_radius: float
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "SimConfig":
         violations = []
@@ -127,7 +131,7 @@ class SimConfig:
             trials=trials,
             seed=seed,
             guard_radius=40.0 / math.sqrt(params.lam) if guard_radius is None else guard_radius,
-        ).validate()
+        )
 
     def min_guard(self, params: NetworkParams) -> float:
         """Floor on the near-field radius.
@@ -342,7 +346,7 @@ def _chunk_near_field(
     """
     d, cos_offset = _chunk_relays(params, rng)
     widest = max(radii)
-    counts = rng.poisson(_covering_density(params, variant) * math.pi * widest**2, CHUNK)
+    counts = rng.poisson(interferer_density(params, variant) * math.pi * widest**2, CHUNK)
     # in place where possible: every array here is the size of the chunk's
     # interferer count, and fresh ones cost page faults
     r2 = rng.random(int(counts.sum()))
@@ -358,12 +362,6 @@ def _chunk_near_field(
         kept = log_loss if radius == widest else np.where(r2 <= radius**2, log_loss, 0.0)
         row[:] = -_segment_sums(kept, counts)
     return d, cos_offset, near
-
-
-def _covering_density(params: NetworkParams, variant: ProtocolVariant) -> float:
-    """p*lambda thinned to the transmitters whose sector covers a point."""
-    q = params.phi / TWO_PI if variant is ProtocolVariant.DIRECTIONAL else 1.0
-    return params.p * params.lam * q
 
 
 def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
@@ -382,7 +380,7 @@ def _with_far_field(
     """Progress d*cos_offset*P_s, one row per radius: each row of near-field
     log P_s plus the exact far field beyond its radius."""
     s = _link_scale(params, d)
-    density = _covering_density(params, variant)
+    density = interferer_density(params, variant)
     progress = np.empty_like(near)
     for row, logs, radius in zip(progress, near, radii):
         log_ps = logs - density * far_field_integral(s, params.alpha, radius)
@@ -421,8 +419,6 @@ def collect_trials(
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> Trials:
     """All trials in trial order."""
-    params.validate()
-    sim.validate()
     d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,))
     return Trials(d, cos_offset, progress[0])
 
@@ -456,8 +452,6 @@ def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:
     Requires sim.trials >= 100 for a meaningful standard error and a
     near-field radius at or above SimConfig.min_guard.
     """
-    params.validate()
-    sim.validate()
     violations = []
     if sim.trials < 100:
         violations.append("trials must be >= 100 for a meaningful std_error")
@@ -500,8 +494,6 @@ def guard_sensitivity(
     estimator is unbiased at any radius, so the estimates may differ only
     by the small noise the radii do not share.
     """
-    params.validate()
-    sim.validate()
     if not guards:
         raise DomainError("need at least one guard radius")
     progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))[-1]
@@ -525,7 +517,6 @@ def sample_relay_distances(
     whole window and select_relay picks the relay, independently of the
     trial kernel's draw from the relay law.
     """
-    params.validate()
     out = np.empty(trials)
     for i in range(trials):
         rng = substream(seed, _TAG_SAMPLE, i)
@@ -590,7 +581,6 @@ def simulate_link_success(
     angle and heading uniforms in one call, then link_sir's fading).
     Returns (estimate, std_error).
     """
-    params.validate()
     if d <= 0:
         raise DomainError(f"link distance must be > 0, got {d}")
     if interference_radius <= 0:

@@ -408,6 +408,30 @@ def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--r-m", "1e200"],
+        ["--lambda", "1e300"],
+        ["--lambda", "1e-300"],
+        ["--alpha", "1e3"],
+        ["--guard-radius", "1e12"],
+    ],
+    ids=["huge-r_m", "huge-lambda", "tiny-lambda", "huge-alpha", "huge-guard"],
+)
+def test_simulate_failure_is_an_error_row(tmp_path, capsys, flags):
+    # admissible parameters the kernel cannot carry out: an error row and
+    # exit 3, as fig5 --simulate gives at the same parameters
+    rc = cli.main(
+        ["simulate", "--trials", "200", "--emit-trials", *flags, "--outdir", str(tmp_path)]
+    )
+    assert rc == 3
+    _, rows = read_table(tmp_path / "simulate.csv")
+    assert rows[0]["status"].startswith("error: ")
+    assert not (tmp_path / "simulate_trials.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["fig5", "--simulate", "--trials", "50", "--phi-grid", "1.0"],

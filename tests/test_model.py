@@ -7,6 +7,7 @@ trigonometric form used by the implementation. Frozen anchors below were
 cross-checked against that identity at 50-digit precision.
 """
 
+import dataclasses
 import json
 import math
 
@@ -99,9 +100,8 @@ def test_validate_passes_on_good_params():
 
 
 def test_validate_collects_every_violation():
-    bad = NetworkParams(lam=-1.0, alpha=2.0, beta=10.0, p=1.5, phi=7.0, mu=0.0, r_m=-2.0)
     with pytest.raises(ParameterError) as exc:
-        bad.validate()
+        NetworkParams(lam=-1.0, alpha=2.0, beta=10.0, p=1.5, phi=7.0, mu=0.0, r_m=-2.0)
     msg = str(exc.value)
     for name in ["lambda", "alpha", "p out of range", "phi", "mu", "r_m"]:
         assert name in msg
@@ -109,16 +109,24 @@ def test_validate_collects_every_violation():
 
 
 def test_validate_alpha_message_mentions_undefined_t():
-    bad = NetworkParams(lam=1.0, alpha=2.0, beta=10.0, p=0.12, phi=1.0)
     with pytest.raises(ParameterError, match="t undefined"):
-        bad.validate()
+        NetworkParams(lam=1.0, alpha=2.0, beta=10.0, p=0.12, phi=1.0)
 
 
 def test_validate_p_boundaries():
     for p in [0.0, 1.0]:
-        bad = NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=p, phi=1.0)
         with pytest.raises(ParameterError):
-            bad.validate()
+            NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=p, phi=1.0)
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [({"p": 0.0}, "p out of range"), ({"phi": 7.0}, "phi out of range")],
+    ids=["p", "phi"],
+)
+def test_replace_checks_the_new_bundle(change, named):
+    with pytest.raises(ParameterError, match=named):
+        dataclasses.replace(BASE, **change)
 
 
 def test_validate_phi_upper_edge_inclusive():

@@ -387,6 +387,16 @@ def test_validate_for_estimation_names_violations():
     assert "guard_radius" in message
 
 
+@pytest.mark.parametrize(
+    "trials, guard_radius, named",
+    [(0, 1.0, "trials"), (10, math.inf, "guard_radius")],
+    ids=["no-trials", "infinite-guard"],
+)
+def test_sim_config_checks_itself_when_built(trials, guard_radius, named):
+    with pytest.raises(ParameterError, match=named):
+        simulate.SimConfig(trials=trials, seed=0, guard_radius=guard_radius)
+
+
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 @pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 2], ids=["pi-over-6", "pi-over-2"])
 def test_estimator_agrees_with_closed_form(phi, variant):
