@@ -423,7 +423,7 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
     )
     try:
         trials = simulate.collect_trials(params, sim, variant)
-        est = simulate.summarize_trials(trials.progress, params)
+        est = simulate.summarize_trials(trials.weight * trials.progress, params)
         closed = analytic.expected_density_closed(params, variant)
     except Exception as exc:
         # a run the model admits but the kernel cannot carry out: an error

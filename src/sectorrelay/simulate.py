@@ -11,47 +11,73 @@ the selection region, the sector |angle| <= phi/2 beyond r_m. The region
 is unbounded, so the relay always exists, and the void probability of
 the annular sector out to d makes d^2 - r_m^2 exactly Exp(b), with
 b = (1-p)*lambda*phi/2 (model.relay_rate): the law the closed form
-integrates. The kernel draws it through the inverse CDF,
-d = sqrt(r_m^2 + E), one uniform per trial, with no window to truncate
-it. Angles are independent of radii: one uniform on the sector per
-relay. sample_relay_distances keeps the full-disk draw and select_relay
-as the independent check of this law.
+integrates. Angles are independent of radii: one uniform on the sector
+per relay. sample_relay_distances keeps the full-disk draw and
+select_relay as the independent check of this law.
 
 Conditional estimator: a trial records the expected progress given its
 draws, d*cos*P_s, instead of a sampled success indicator. Only the
 transmitters whose sector covers the relay interfere. Uniform headings
 make them an independent thinning of the transmitters (density p*lambda)
 by q, the chance that a sector covers a point (phi/(2*pi) directional, 1
-omnidirectional): a Poisson process of density p*lambda*q.
+omnidirectional): a Poisson process of density rho = p*lambda*q.
 Coverage is sampled by drawing only those, in the near field, a disk of
 radius L centred on the relay (independent of the receivers, so centring
 it there loses nothing). Fading still integrates out given the positions:
-with x_i = beta*d^alpha * (r_i^2)^(-alpha/2), interferer i lets the link
-through with probability 1/(1 + x_i). The kernel draws squared radii
-L^2*U, and the variants differ only in the density. Transmitters beyond L
-integrate out exactly through the Poisson Laplace functional,
-exp(-p*lambda*q*F(L)) with F in closed form (far_field_integral). P_s is
-therefore the exact success probability given the near-field radii, and
-the estimator is unbiased for any L; the radius only decides how much of
-the interference is sampled rather than integrated. The default
-L = 40/sqrt(lambda) leaves the far field under a tenth of -log P_s at the
-paper's default optimum (about a quarter at 10/sqrt(lambda), since relays
-sit near d = 1/sqrt(lambda)), so the simulator still samples the
-interference it is checking.
+with x_i = s*r_i^-alpha and s = beta*d^alpha, interferer i lets the link
+through with probability 1/(1 + x_i); the variants differ only in rho.
+Transmitters beyond L integrate out exactly through the Poisson Laplace
+functional, exp(-rho*F(L)) with F in closed form (far_field_integral).
+P_s is therefore the exact success probability given the near-field
+radii, and the estimator is unbiased for any L; the radius only decides
+how much of the interference is sampled rather than integrated. The
+default L = 40/sqrt(lambda) leaves the far field under a tenth of
+-log P_s at the paper's default optimum (about a quarter at
+10/sqrt(lambda), since relays sit near d = 1/sqrt(lambda)), so the
+simulator still samples the interference it is checking.
 
-Batches and randomness: trials run in chunks of CHUNK, each on its own
-SFC64 substream. Within a chunk the draw order is fixed: relay distance
-uniforms, relay angles, interferer counts, interferer squared radii. Each
-trial's near-field log P_s is one segment sum (np.add.reduceat); the far
-field is evaluated once per run, over all trials after the chunks are
-joined. The kernel always draws a whole chunk and keeps the trials the
-run asks for, so trial i's sample depends only on (seed, i), not on the
-trial count. A chunk with an interferer on its relay (measure zero) is
-redrawn under the next attempt.
+Importance sampling: both draws come from proposals that favour the
+trials which carry the estimate, and each trial carries their likelihood
+ratio as its weight; the estimator averages weight*progress. The
+normalizers are elementary (an exponential rate and annulus areas), so
+no closed-form integral enters and the simulator stays an independent
+check of the formula.
+- Relay: E = d^2 - r_m^2 ~ Exp(b + kappa), kappa = rho*beta^(2/alpha)*pi,
+  drawn through the inverse CDF (one uniform per trial, no window to
+  truncate it), with log weight log(b/(b + kappa)) + kappa*E. P_s decays
+  in d^2 at kappa*x/sin(x), x = 2*pi/alpha, which is at least kappa for
+  every alpha > 2: the proposal's tail never falls below the integrand's,
+  so the relay weight cannot outgrow P_s.
+- Interferers: the near field is split into rings, an inner disk out to
+  L/1000, 12 geometric rings out to L/4 and one ring out to L, with every
+  radius guard_sensitivity is given as a further edge. Ring k, of area
+  A_k, draws at density rho*g_k, g_k = 1/(1 + s*r_k^-alpha) at its
+  geometric mid radius r_k (the inner disk at its outer edge), squared
+  radii uniform in the ring; its N_k points add -rho*(1 - g_k)*A_k
+  - N_k*log(g_k) to the log weight, computed per (ring, trial) cell, and
+  each point still contributes its own log1p(x_i) to -log P_s.
+The weights alone are heavy-tailed (a rare point next to the relay
+weighs 1/g_k); only their product with P_s is tamed, so a weight
+averages to 1 but its own sample variance says little.
 
-collect_trials returns the trials as three arrays in trial order, d,
-cos_offset and progress, and summarize_trials reduces the progress array
-to the estimate; there are no per-trial SIR diagnostics.
+Batches and randomness: trials run in chunks of CHUNK = 128, each on its
+own SFC64 substream; the proposal's table (ring edges, areas, b, kappa)
+is built once per run. Within a chunk the draw order is fixed: relay
+angles, relay distance uniforms, interferer counts on the (ring, trial)
+grid, interferer squared-radius uniforms. Each cell's near-field -log P_s
+is one segment sum (np.add.reduceat); the far field is evaluated once
+per run, over all trials after the chunks are joined. The kernel always
+draws a whole chunk and keeps the trials the run asks for, so trial i's
+sample depends only on (seed, i), not on the trial count. A chunk with
+an interferer on its relay (measure zero) is redrawn under the next
+attempt. Each run's constants are checked when its table is built, so a
+parameter that puts them out of a double's range fails there with a
+DomainError that names it, and numpy's floating-point warnings are
+silenced inside the kernel.
+
+collect_trials returns the trials as four arrays in trial order, d,
+cos_offset, progress and weight, and summarize_trials reduces
+weight*progress to the estimate; there are no per-trial SIR diagnostics.
 simulate_link_success keeps the raw SIR indicator (interferer positions,
 beam headings, sector coverage and fading all sampled) as the
 independent check of the thinning and fading laws, batched in chunks on
@@ -63,6 +89,7 @@ rate mu; the trial kernel does not depend on mu.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,13 +107,22 @@ _TAG_LINK = 1
 _TAG_SAMPLE = 2
 
 #: Trials per substream. Fixed, so that a trial's sample does not depend on
-#: the trial count; small, so a chunk's arrays stay small (at most about
-#: 20k interferer radii at the default near field).
-CHUNK = 32
+#: the trial count; 128 spreads the kernel's per-chunk numpy calls (the
+#: (ring, trial) grid, the Poisson draw) over enough trials, and a chunk's
+#: arrays stay small (at most about 80k interferer radii at the default
+#: near field, at phi = 2*pi).
+CHUNK = 128
+
+#: Near-field rings, as fractions of the near-field radius L: an inner disk
+#: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L and
+#: one outer ring out to L.
+RING_INNER = 1e-3
+RING_OUTER = 0.25
+RING_COUNT = 12
 
 #: CSV column order and schema version of per-trial streams.
-TRIAL_COLUMNS = ("trial", "d", "cos_offset", "progress")
-TRIAL_SCHEMA_VERSION = 3
+TRIAL_COLUMNS = ("trial", "d", "cos_offset", "progress", "weight")
+TRIAL_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -146,12 +182,38 @@ class SimConfig:
 class Trials(NamedTuple):
     """Per-trial outcomes in trial order: trial i sits at index i.
 
-    progress is the conditional expected progress d*cos_offset*P_s.
+    progress is the conditional expected progress d*cos_offset*P_s given
+    the trial's draws, and weight the draws' likelihood ratio: the mean of
+    weight*progress estimates the mean progress.
     """
 
     d: np.ndarray
     cos_offset: np.ndarray
     progress: np.ndarray
+    weight: np.ndarray
+
+
+class _Proposal(NamedTuple):
+    """Per-run constants of the trial kernel (built by _proposal).
+
+    The relay's E = d^2 - r_m^2 is drawn at rate = b + kappa, and
+    log_ratio = log(b/rate). Ring k has tilt radius r_k, with
+    mid_power[k] = r_k^-alpha, and spans squared radii r_k^2 times
+    inner2[k] to inner2[k] + width2[k]; mass[k] is density times its area.
+    radii[j] holds the first ends[j] rings.
+    """
+
+    radii: tuple[float, ...]
+    ends: tuple[int, ...]
+    density: float
+    r_m2: float
+    rate: float
+    kappa: float
+    log_ratio: float
+    inner2: np.ndarray
+    width2: np.ndarray
+    mass: np.ndarray
+    mid_power: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -323,45 +385,131 @@ def far_field_integral(s, alpha: float, radius: float):
     return float(value[0]) if s.ndim == 0 else value.reshape(s.shape)
 
 
-def _chunk_relays(params: NetworkParams, rng: np.random.Generator):
-    """Each trial's relay from the exact relay law: (d, cos_offset), with
-    d^2 - r_m^2 ~ Exp(relay_rate) and the angle uniform on the sector."""
-    d = np.sqrt(params.r_m**2 + _exponential(rng, relay_rate(params), CHUNK))
-    cos_offset = np.cos(params.phi * (rng.random(CHUNK) - 0.5))
-    return d, cos_offset
-
-
-def _chunk_near_field(
+def _proposal(
     params: NetworkParams,
     variant: ProtocolVariant,
     radii: tuple[float, ...],
+) -> _Proposal:
+    """The run's proposal table, built once per run.
+
+    Rings: the inner disk out to RING_INNER*L, RING_COUNT geometric rings
+    out to RING_OUTER*L and one outer ring out to L, the widest radius;
+    every radius is also an edge, so that each radius owns whole rings and
+    exact weights. A ring's tilt is taken at its geometric mid radius, the
+    inner disk's at its outer edge.
+
+    Every constant is checked here: a parameter that puts one outside the
+    range of a double raises DomainError naming it, before any draw.
+    """
+    widest = max(radii)
+    # np.geomspace costs more than the rest of the table
+    steps = np.arange(RING_COUNT + 1) / RING_COUNT
+    geometric = RING_INNER * widest * (RING_OUTER / RING_INNER) ** steps
+    edges = np.array(sorted({0.0, *geometric.tolist(), *radii}))
+    inner, outer = edges[:-1], edges[1:]
+    mid = np.sqrt(inner * outer)
+    mid[0] = outer[0]
+    density = interferer_density(params, variant)
+    b = relay_rate(params)
+    kappa = density * params.beta ** (2.0 / params.alpha) * math.pi
+    r_m2 = params.r_m * params.r_m
+    mid_power = mid**-params.alpha
+    width2 = (outer - inner) * (outer + inner)
+    if not math.isfinite(r_m2):
+        raise DomainError(
+            f"r_m = {params.r_m:.6g} is out of the simulator's range: r_m^2 overflows a double"
+        )
+    if not (0.0 < b and math.isfinite(b + kappa)):
+        raise DomainError(
+            f"lambda = {params.lam:.6g}, p = {params.p:.6g} and phi = {params.phi:.6g} put "
+            f"the relay rate b = {b:.6g} or the tilt rate kappa = {kappa:.6g} out of the "
+            "simulator's range: both must be finite doubles, b > 0"
+        )
+    if not np.all(np.isfinite(mid_power) & np.isfinite(1.0 / mid_power)):
+        if params.alpha * math.log(mid[-1] / mid[0]) > 2.0 * math.log(sys.float_info.max):
+            raise DomainError(
+                f"alpha = {params.alpha:.6g} is out of the simulator's range: r^alpha over "
+                f"the near-field rings, which span a factor {mid[-1] / mid[0]:.3g} in "
+                "radius, cannot stay within a double at any scale"
+            )
+        raise DomainError(
+            f"lambda = {params.lam:.6g} and the near-field radius {widest:.6g} (guard_radius, "
+            "40/sqrt(lambda) by default) are out of the simulator's range: r^alpha and "
+            "r^-alpha over the near-field rings leave a double"
+        )
+    link = params.beta * np.power(r_m2 + 1.0 / (b + kappa), 0.5 * params.alpha)
+    if not 0.0 < link < math.inf:
+        raise DomainError(
+            f"phi = {params.phi:.6g}, p = {params.p:.6g} and lambda = {params.lam:.6g} put the "
+            f"relay distance scale {1.0 / math.sqrt(b + kappa):.6g} out of the simulator's "
+            "range: beta*d^alpha leaves a double"
+        )
+    return _Proposal(
+        radii=radii,
+        ends=tuple(int(i) for i in np.searchsorted(edges, radii)),
+        density=density,
+        r_m2=r_m2,
+        rate=b + kappa,
+        kappa=kappa,
+        log_ratio=math.log(b / (b + kappa)),
+        inner2=(inner / mid) ** 2,
+        width2=width2 / mid**2,
+        mass=density * math.pi * width2,
+        mid_power=mid_power,
+    )
+
+
+def _chunk_near_field(params: NetworkParams, table: _Proposal, rng: np.random.Generator):
+    """One chunk: (d, cos_offset, near, log_weight), where near and
+    log_weight hold one row per radius: the near-field -log P_s and the log
+    likelihood ratio of the trial's draws inside that radius."""
+    cos_offset = np.cos(params.phi * (rng.random(CHUNK) - 0.5))
+    e = _exponential(rng, table.rate, CHUNK)
+    d = np.sqrt(table.r_m2 + e)
+    near, log_weight = _near_field(params, table, d, rng)
+    log_weight += table.log_ratio + table.kappa * e
+    return d, cos_offset, near, log_weight
+
+
+def _near_field(
+    params: NetworkParams,
+    table: _Proposal,
+    d: np.ndarray,
     rng: np.random.Generator,
 ):
-    """One chunk: (d, cos_offset, near), where near holds one row of
-    near-field log P_s per radius, all from interferers drawn once in the
-    widest disk.
+    """(near, log_weight) of interferers drawn from the proposal around relays
+    at distances d, one row per radius.
 
-    A smaller radius keeps the points inside it, which is exactly its
-    Poisson process; _with_far_field integrates the rest.
+    Counts and sums live on a (ring, trial) grid in ring-major order, so a
+    radius's rows sum its first rings.
     """
-    d, cos_offset = _chunk_relays(params, rng)
-    widest = max(radii)
-    counts = rng.poisson(interferer_density(params, variant) * math.pi * widest**2, CHUNK)
-    # in place where possible: every array here is the size of the chunk's
+    # ring k draws at density rho*g, g = 1/(1 + tilt), tilt = s*r_mid^-alpha
+    tilt = np.multiply.outer(table.mid_power, _link_scale(params, d))
+    g = 1.0 / (1.0 + tilt)
+    counts = rng.poisson(table.mass[:, None] * g)
+    # the cell's log likelihood ratio: -rho*(1-g)*A - N*log(g)
+    log_w = counts * np.log1p(tilt)
+    log_w -= table.mass[:, None] * (1.0 - g)
+    per_ring = counts.sum(axis=1)
+    # squared radii over the tilt radius's square, uniform in each ring; in
+    # place where possible: these arrays are the size of the chunk's
     # interferer count, and fresh ones cost page faults
-    r2 = rng.random(int(counts.sum()))
-    r2 *= widest**2
-    if not r2.all():
+    q = rng.random(int(per_ring.sum()))
+    # only the inner disk, whose squared radii start at 0, reaches the relay
+    if not q[: per_ring[0]].all():
         raise DegenerateSampleError("interferer coincides with the relay")
-    # the link survives interferer i with probability 1/(1 + x_i)
-    x = r2 ** (-0.5 * params.alpha)
-    x *= np.repeat(_link_scale(params, d), counts)
-    log_loss = np.log1p(x, out=x)
-    near = np.empty((len(radii), CHUNK))
-    for row, radius in zip(near, radii):
-        kept = log_loss if radius == widest else np.where(r2 <= radius**2, log_loss, 0.0)
-        row[:] = -_segment_sums(kept, counts)
-    return d, cos_offset, near
+    q *= np.repeat(table.width2, per_ring)
+    q += np.repeat(table.inner2, per_ring)
+    # the link survives interferer i with probability 1/(1 + x_i), where
+    # x_i = s*r_i^-alpha = tilt*q_i^(-alpha/2)
+    x = np.log(q, out=q)
+    x *= -0.5 * params.alpha
+    x += np.repeat(np.log(tilt), counts.ravel())
+    log_loss = np.log1p(np.exp(x, out=x), out=x)
+    loss = _segment_sums(log_loss, counts.ravel()).reshape(counts.shape)
+    near = np.array([np.add.reduce(loss[:end]) for end in table.ends])
+    log_weight = np.array([np.add.reduce(log_w[:end]) for end in table.ends])
+    return near, log_weight
 
 
 def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
@@ -371,21 +519,21 @@ def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
 
 def _with_far_field(
     params: NetworkParams,
-    variant: ProtocolVariant,
-    radii: tuple[float, ...],
+    table: _Proposal,
     d: np.ndarray,
     cos_offset: np.ndarray,
     near: np.ndarray,
-) -> np.ndarray:
-    """Progress d*cos_offset*P_s, one row per radius: each row of near-field
-    log P_s plus the exact far field beyond its radius."""
+    log_weight: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(progress, weight), one row per radius: progress d*cos_offset*P_s
+    from each row of near-field -log P_s plus the exact far field beyond its
+    radius, and the weight exp(log_weight)."""
     s = _link_scale(params, d)
-    density = interferer_density(params, variant)
     progress = np.empty_like(near)
-    for row, logs, radius in zip(progress, near, radii):
-        log_ps = logs - density * far_field_integral(s, params.alpha, radius)
-        row[:] = d * cos_offset * np.exp(log_ps)
-    return progress
+    for row, near_loss, radius in zip(progress, near, table.radii):
+        loss = near_loss + table.density * far_field_integral(s, params.alpha, radius)
+        row[:] = d * cos_offset * np.exp(-loss)
+    return progress, np.exp(log_weight)
 
 
 def _run_trials(
@@ -394,23 +542,33 @@ def _run_trials(
     variant: ProtocolVariant,
     radii: tuple[float, ...],
 ):
-    """(d, cos_offset, progress) of trials 0 .. sim.trials-1.
+    """(d, cos_offset, progress, weight) of trials 0 .. sim.trials-1, with
+    one row of progress and of weight per radius.
 
-    The chunks draw and sum the near field; the far field is evaluated
-    once over all trials after they are joined.
+    The proposal table is built once; the chunks draw and sum the near
+    field; the far field is evaluated once over all trials after they are
+    joined. Overflow inside the kernel is left to the table's checks and
+    the final one, so numpy's floating-point warnings are silenced.
     """
-    results = [
-        _redrawn(
-            lambda rng: _chunk_near_field(params, variant, radii, rng),
-            sim.seed, _TAG_TRIAL, chunk,
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = _proposal(params, variant, radii)
+        results = [
+            _redrawn(
+                lambda rng: _chunk_near_field(params, table, rng),
+                sim.seed, _TAG_TRIAL, chunk,
+            )
+            for chunk in range(math.ceil(sim.trials / CHUNK))
+        ]
+        d, cos_offset, near, log_weight = (
+            np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
         )
-        for chunk in range(math.ceil(sim.trials / CHUNK))
-    ]
-    d, cos_offset, near = (
-        np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
-    )
-    progress = _with_far_field(params, variant, radii, d, cos_offset, near)
-    return d, cos_offset, progress
+        progress, weight = _with_far_field(params, table, d, cos_offset, near, log_weight)
+        if not np.isfinite(weight * progress).all():
+            raise DomainError(
+                "the trial kernel produced non-finite values: the parameters are out of "
+                "the simulator's range"
+            )
+    return d, cos_offset, progress, weight
 
 
 def collect_trials(
@@ -419,14 +577,15 @@ def collect_trials(
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> Trials:
     """All trials in trial order."""
-    d, cos_offset, progress = _run_trials(params, sim, variant, (sim.guard_radius,))
-    return Trials(d, cos_offset, progress[0])
+    d, cos_offset, progress, weight = _run_trials(params, sim, variant, (sim.guard_radius,))
+    return Trials(d, cos_offset, progress[0], weight[0])
 
 
 def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
     """Reduce per-trial progress to the density-of-progress estimate.
 
-    The estimator is p*lambda times the sample mean of per-trial progress;
+    progress is each trial's weighted progress, weight*progress of Trials.
+    The estimator is p*lambda times its sample mean;
     the reduction uses numpy's pairwise summation over the trial-ordered
     array, so it is reproducible bit-for-bit.
     """
@@ -476,8 +635,8 @@ def estimate_density_of_progress(
     preconditions enforced on entry.
     """
     validate_for_estimation(params, sim)
-    progress = _run_trials(params, sim, variant, (sim.guard_radius,))[-1]
-    return summarize_trials(progress[0], params)
+    trials = collect_trials(params, sim, variant)
+    return summarize_trials(trials.weight * trials.progress, params)
 
 
 def guard_sensitivity(
@@ -488,16 +647,17 @@ def guard_sensitivity(
 ) -> list[ProgressEstimate]:
     """Progress estimates under several near-field radii with common draws.
 
-    The kernel draws each chunk's interferer radii once in the widest disk
-    and masks them per radius; a smaller radius integrates the rest
-    exactly, so every radius sees exactly its Poisson process. The
-    estimator is unbiased at any radius, so the estimates may differ only
-    by the small noise the radii do not share.
+    The kernel draws each chunk's interferers once in the widest disk, and
+    every radius is a ring edge: a radius sums the draws and weights of
+    the rings inside it and integrates the rest exactly, so every radius
+    sees exactly its Poisson process. The estimator is unbiased at any
+    radius, so the estimates may differ only by the small noise the radii
+    do not share.
     """
     if not guards:
         raise DomainError("need at least one guard radius")
-    progress = _run_trials(params, sim, variant, tuple(float(g) for g in guards))[-1]
-    return [summarize_trials(row, params) for row in progress]
+    _, _, progress, weight = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
+    return [summarize_trials(w * y, params) for y, w in zip(progress, weight)]
 
 
 # =====================================================================

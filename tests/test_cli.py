@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
-    assert trial_schema == "# schema: sectorrelay.simulate_trials v3"
+    assert trial_schema == "# schema: sectorrelay.simulate_trials v4"
     assert len(trial_rows) == 150
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
@@ -386,7 +387,8 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     )
     assert (float(row["mean"]), float(row["std_error"])) == (est.mean, est.std_error)
     progress = np.array([float(r["progress"]) for r in trial_rows])
-    assert simulate.summarize_trials(progress, params).mean == est.mean
+    weight = np.array([float(r["weight"]) for r in trial_rows])
+    assert simulate.summarize_trials(weight * progress, params).mean == est.mean
 
 
 def test_simulate_std_error_survives_tiny_progress(tmp_path):
@@ -408,27 +410,33 @@ def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, status",
     [
-        ["--r-m", "1e200"],
-        ["--lambda", "1e300"],
-        ["--lambda", "1e-300"],
-        ["--alpha", "1e3"],
-        ["--guard-radius", "1e12"],
+        (["--r-m", "1e200"], "error: DomainError: r_m = "),
+        (["--lambda", "1e300"], "error: DomainError: lambda = "),
+        (["--lambda", "1e-300"], "error: DomainError: lambda = "),
+        (["--alpha", "1e3"], "error: DomainError: alpha = "),
+        (["--guard-radius", "1e12"], "error: "),
     ],
     ids=["huge-r_m", "huge-lambda", "tiny-lambda", "huge-alpha", "huge-guard"],
 )
-def test_simulate_failure_is_an_error_row(tmp_path, capsys, flags):
-    # admissible parameters the kernel cannot carry out: an error row and
-    # exit 3, as fig5 --simulate gives at the same parameters
-    rc = cli.main(
-        ["simulate", "--trials", "200", "--emit-trials", *flags, "--outdir", str(tmp_path)]
-    )
+def test_simulate_failure_is_an_error_row(tmp_path, capsys, flags, status):
+    # admissible parameters the kernel cannot carry out: an error row that
+    # names the parameter, exit 3, as fig5 --simulate gives at the same
+    # parameters, and no numpy warning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(
+            ["simulate", "--trials", "200", "--emit-trials", *flags, "--outdir", str(tmp_path)]
+        )
     assert rc == 3
     _, rows = read_table(tmp_path / "simulate.csv")
-    assert rows[0]["status"].startswith("error: ")
+    assert rows[0]["status"].startswith(status)
     assert not (tmp_path / "simulate_trials.csv").exists()
-    assert "Traceback" not in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize(

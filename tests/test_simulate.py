@@ -185,16 +185,32 @@ def test_relay_distances_rayleigh_specialization():
 
 
 def test_trial_kernel_relays_follow_the_closed_laws():
-    # the kernel draws the relay from its law through the inverse CDF; its
-    # distances must follow the relay-distance CDF, and the relay's angle
-    # must be uniform over the sector
+    # the kernel draws d^2 - r_m^2 from the proposal Exp(b + kappa) through
+    # the inverse CDF, with kappa = rho*beta^(2/alpha)*pi; its distances must
+    # follow that law, the weighted distances the relay-distance CDF, and
+    # the relay's angle must be uniform over the sector
     params = _with(BASE, r_m=0.1)
     sim = simulate.SimConfig(trials=6000, seed=21, guard_radius=1.0)
     trials = simulate.collect_trials(params, sim)
     ds = trials.d
-    result = stats.kstest(ds, lambda x: np.vectorize(
-        lambda r: analytic.relay_distance_cdf(params, float(r)))(x))
+    b = (1.0 - params.p) * params.lam * params.phi / 2.0
+    kappa = analytic.interferer_density(params) * params.beta ** (2.0 / params.alpha) * math.pi
+    result = stats.kstest(ds**2 - params.r_m**2, stats.expon(scale=1.0 / (b + kappa)).cdf)
     assert result.pvalue > 0.01
+    # the weighted empirical CDF at the relay law's deciles, within 3 sigma.
+    # The relay is drawn before the near field, so a near field too small to
+    # hold a point keeps these distances and leaves the relay's likelihood
+    # ratio alone in the weight (the near field's own weights have a variance
+    # that grows like exp(C*d^alpha); only their product with P_s is tamed)
+    relay_only = simulate.collect_trials(params, dataclasses.replace(sim, guard_radius=1e-8))
+    assert np.array_equal(relay_only.d, ds)
+    deciles = np.sqrt(params.r_m**2 - np.log1p(-np.arange(1, 10) / 10.0) / b)
+    for x in deciles:
+        below = relay_only.weight * (ds <= x)
+        z = (below.mean() - analytic.relay_distance_cdf(params, float(x))) / (
+            below.std(ddof=1) / math.sqrt(len(below))
+        )
+        assert abs(z) < 3.0
     angles = np.arccos(np.clip(trials.cos_offset, -1.0, 1.0))
     assert stats.kstest(angles / (params.phi / 2), "uniform").pvalue > 0.01
 
@@ -278,7 +294,7 @@ def test_collect_trials_is_deterministic():
     a = simulate.collect_trials(BASE, sim)
     b = simulate.collect_trials(BASE, sim)
     assert _same_trials(a, b)
-    assert [len(column) for column in a] == [12, 12, 12]
+    assert [len(column) for column in a] == [12, 12, 12, 12]
 
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
@@ -303,13 +319,17 @@ def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
 
 
 class _ZeroFirst:
-    """A generator whose every batch of uniforms starts with an exact 0."""
+    """A generator whose every batch of uniforms starts with an exact 0, and
+    whose first Poisson count is at least 1: the trial kernel's first cell
+    is the inner disk, the only ring that reaches the relay."""
 
     def __init__(self, rng):
         self._rng = rng
 
     def poisson(self, *args):
-        return self._rng.poisson(*args)
+        counts = self._rng.poisson(*args)
+        counts.flat[0] = max(counts.flat[0], 1)
+        return counts
 
     def random(self, size=None):
         u = self._rng.random(size)
@@ -336,14 +356,13 @@ def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     chunk = simulate.CHUNK
     sim = simulate.SimConfig(trials=3 * chunk, seed=5, guard_radius=10.0)
     clean = simulate.collect_trials(BASE, sim)
-    radii = (sim.guard_radius,)
-    attempt1 = simulate._with_far_field(
-        BASE, ProtocolVariant.DIRECTIONAL, radii,
+    table = simulate._proposal(BASE, ProtocolVariant.DIRECTIONAL, (sim.guard_radius,))
+    progress1, weight1 = simulate._with_far_field(
+        BASE, table,
         *simulate._chunk_near_field(
-            BASE, ProtocolVariant.DIRECTIONAL, radii,
-            simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1),
+            BASE, table, simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1)
         ),
-    )[0]
+    )
     cells = _force_degenerate(monkeypatch, 1)
     first = simulate.collect_trials(BASE, sim)
     second = simulate.collect_trials(BASE, sim)
@@ -352,7 +371,8 @@ def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
     assert _same_trials(first, second)
     others = np.r_[:chunk, 2 * chunk:3 * chunk]
     assert _same_trials((c[others] for c in first), (c[others] for c in clean))
-    assert first.progress[chunk:2 * chunk].tolist() == attempt1.tolist()
+    assert first.progress[chunk:2 * chunk].tolist() == progress1[0].tolist()
+    assert first.weight[chunk:2 * chunk].tolist() == weight1[0].tolist()
 
 
 def test_degenerate_link_chunk_is_redrawn(monkeypatch):
@@ -485,7 +505,7 @@ def test_empty_near_field_gives_the_closed_success_probability(variant):
     # a near field too small to hold a point leaves only the exact far
     # field, whose radius-0 limit is the closed-form success probability
     sim = simulate.SimConfig(trials=40, seed=9, guard_radius=1e-8)
-    for d, cos_offset, progress in zip(*simulate.collect_trials(OPT, sim, variant)):
+    for d, cos_offset, progress, _ in zip(*simulate.collect_trials(OPT, sim, variant)):
         expected = d * cos_offset * analytic.success_probability(OPT, float(d), variant)
         assert progress == pytest.approx(expected, rel=1e-12)
 
@@ -498,12 +518,14 @@ def test_near_field_radius_leaves_the_estimate_unbiased():
 
 def test_default_near_field_dominates_the_interference():
     # the far-field closed form must stay a small correction, so that the
-    # simulator still samples most of the interference it is checking
+    # simulator still samples most of the interference it is checking: in
+    # the kernel's own draws, whose thinned near field makes the share larger
+    # than the network's
     sim = simulate.SimConfig.for_params(OPT, trials=300, seed=11)
     assert sim.guard_radius >= sim.min_guard(OPT)
     density = analytic.interferer_density(OPT)
     far = total = 0.0
-    for d, cos_offset, progress in zip(*simulate.collect_trials(OPT, sim)):
+    for d, cos_offset, progress, _ in zip(*simulate.collect_trials(OPT, sim)):
         s = OPT.beta * d**OPT.alpha
         far += density * simulate.far_field_integral(s, OPT.alpha, sim.guard_radius)
         total -= math.log(progress / (d * cos_offset))
@@ -514,6 +536,57 @@ def test_guard_doubling_shifts_less_than_one_sigma():
     sim = simulate.SimConfig(trials=400, seed=17, guard_radius=40.0)
     far, near = simulate.guard_sensitivity(OPT, sim, guards=[80.0, 40.0])
     assert abs(far.mean - near.mean) < max(far.std_error, near.std_error)
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_importance_sampling_cuts_the_per_trial_variance(variant):
+    # at the default joint optimum the plain draws gave n*RSE^2 of 0.66
+    # (directional) and 0.76 (omnidirectional)
+    best = optimize.optimize_joint(BASE, variant)
+    params = _with(BASE, p=best.p_star, r_m=best.rm_star)
+    sim = simulate.SimConfig.for_params(params, trials=20_000, seed=3)
+    est = simulate.estimate_density_of_progress(params, sim, variant)
+    assert sim.trials * (est.std_error / est.mean) ** 2 <= 0.15
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_estimates_are_calibrated(variant):
+    # 100 independent 300-trial estimates at the joint optimum for
+    # phi = pi/2: their z-scores against the closed form must look N(0, 1),
+    # so that the weights neither bias the mean nor hide its spread
+    best = optimize.optimize_joint(BASE, variant)
+    params = _with(BASE, p=best.p_star, r_m=best.rm_star)
+    target = analytic.expected_density_closed(params, variant)
+    zs = []
+    for seed in range(100):
+        sim = simulate.SimConfig.for_params(params, trials=300, seed=seed)
+        est = simulate.estimate_density_of_progress(params, sim, variant)
+        zs.append((est.mean - target) / est.std_error)
+    assert max(abs(z) for z in zs) <= 4.0
+    assert stats.kstest(zs, "norm").pvalue > 0.01
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_near_field_weights_average_to_one(variant):
+    # the near field's likelihood ratio alone, with the progress factor set
+    # to 1, around relays fixed at d = 0.2: its mean is 1. Given d, ring k's
+    # weight has the second moment exp(rho*A_k*(1 - g_k)^2/g_k), so the
+    # budget uses that exact sigma; a sample's own sigma misses the rare
+    # draws next to the relay that carry the weights' tail. The sign of the
+    # area term matters: flipped, the mean is 1.09 (directional) or 1.41
+    # (omnidirectional), 15 or 22 sigma away
+    d = 0.2
+    table = simulate._proposal(OPT, variant, (40.0,))
+    weights = np.concatenate([
+        np.exp(simulate._near_field(
+            OPT, table, np.full(simulate.CHUNK, d),
+            simulate.substream(4, simulate._TAG_TRIAL, chunk),
+        )[1][0])
+        for chunk in range(160)
+    ])
+    g = 1.0 / (1.0 + table.mid_power * OPT.beta * d**OPT.alpha)
+    sigma = math.sqrt(math.expm1(float(np.sum(table.mass * (1.0 - g) ** 2 / g))))
+    assert abs(weights.mean() - 1.0) < 4.0 * sigma / math.sqrt(len(weights))
 
 
 def test_directional_beats_omni_in_simulation():
