@@ -23,12 +23,13 @@ opt = NetworkParams(
 # the progress-density estimator
 # =====================================================================
 # Trials sample the network from the viewpoint of a typical transmitter:
-# the relay from its exact law (the nearest receiver in the sector beyond
-# r_m, whose d^2 - r_m^2 is exponential), the distances of the interferers
-# whose beam covers the relay in a near-field disk around it (a thinned
-# Poisson process), and the rest of the interference integrated out exactly. Each
-# trial records its conditional expected progress; each chunk of trials
-# runs on its own seeded SFC64 substream, so runs replay exactly.
+# the relay distance from its law (the nearest receiver in the sector beyond
+# r_m, whose d^2 - r_m^2 is exponential), stratified over blocks of 4
+# trials, the distances of the interferers whose beam covers the relay in a
+# near-field disk around it (a thinned Poisson process), and the rest of the
+# interference and the relay's angle integrated out exactly. Each trial
+# records its conditional expected progress; each chunk of trials runs on
+# its own seeded SFC64 substream, so runs replay exactly.
 print("== progress-density estimate vs closed form ==")
 sim = simulate.SimConfig.for_params(opt, trials=3000, seed=7)
 print(f"near field {sim.guard_radius:.1f}, {sim.trials} trials, seed {sim.seed}")
@@ -58,16 +59,19 @@ print()
 # relay distances follow the closed law
 # =====================================================================
 # An independent draw: receivers fill a whole disk and the relay is picked
-# among them, so this also checks the law the kernel draws from.
+# among them, so this also checks the law the kernel draws from, and the
+# uniform angle on the sector that it integrates out.
 print("== relay-distance distribution ==")
 geo = dataclasses.replace(opt, r_m=0.1)
-ds = simulate.sample_relay_distances(geo, window_radius=4.0, trials=4000, seed=21)
+ds, angles = simulate.sample_relay_distances(geo, window_radius=4.0, trials=4000, seed=21)
 clean = ds[~np.isnan(ds)]
 ks = stats.kstest(
     clean,
     lambda x: np.vectorize(lambda r: analytic.relay_distance_cdf(geo, float(r)))(x),
 )
 print(f"{len(clean)} relay distances, KS statistic {ks.statistic:.4f}, p = {ks.pvalue:.3f}")
+ks = stats.kstest(angles[~np.isnan(angles)] / geo.phi + 0.5, "uniform")
+print(f"relay angles on the sector: KS statistic {ks.statistic:.4f}, p = {ks.pvalue:.3f}")
 print()
 
 # =====================================================================

@@ -444,7 +444,7 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
     outputs = [_write_csv(outdir, "simulate", header, [row], SIMULATE_SCHEMA_VERSION)]
     if settings["emit_trials"]:
         # .tolist(): _fmt formats Python floats faster than numpy scalars
-        trial_rows = zip(range(sim.trials), *(column.tolist() for column in trials))
+        trial_rows = zip(range(est.trials_used), *(column.tolist() for column in trials))
         outputs.append(
             _write_csv(
                 outdir, "simulate_trials", simulate.TRIAL_COLUMNS, trial_rows,
@@ -580,28 +580,44 @@ def rerun_from_manifest(
 # argument parsing
 # =====================================================================
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="sectorrelay",
-        description=(
-            "Analytic tables, parameter sweeps and Monte-Carlo runs for "
-            "sector-based relay selection under slotted ALOHA."
-        ),
-    )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    top.add_argument(
-        "--from-manifest",
-        metavar="PATH",
-        help="replay a recorded run; outputs are reproduced byte-for-byte "
-        "(combine with --outdir to redirect them)",
-    )
-    top.add_argument(
-        "--outdir",
-        default=None,
-        help="output directory when replaying a manifest (subcommands take "
-        "their own --outdir)",
-    )
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built on first use.
 
+    add_command registers a command's name and help, which is all that the
+    top-level help and the invalid-choice error read. The command's parser
+    is built when parsing reaches the command, or when parser() asks for
+    it, so a run builds the options of the one command it invokes.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_options = {}
+
+    def add_command(self, name: str, help: str, add_options) -> None:
+        """Register a command; add_options(parser) fills in its own options."""
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None
+        self._add_options[name] = add_options
+
+    def parser(self, name: str) -> argparse.ArgumentParser:
+        """The command's parser: the shared option groups, then its own."""
+        if self._name_parser_map[name] is None:
+            parser = self._parser_class(
+                prog=f"{self._prog_prefix} {name}", parents=_shared_options()
+            )
+            self._add_options[name](parser)
+            self._name_parser_map[name] = parser
+        return self._name_parser_map[name]
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # argparse has checked values[0] against the registered names
+        self.parser(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _shared_options() -> list[argparse.ArgumentParser]:
+    """The option groups every command takes: network parameters and run
+    control."""
     params_parent = argparse.ArgumentParser(add_help=False)
     grp = params_parent.add_argument_group(PARAMS_GROUP)
     grp.add_argument("--config", metavar="PATH", help="key=value or JSON parameter file")
@@ -629,30 +645,21 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
     rg.add_argument("--workers", type=int, default=1,
                     help="accepted and ignored: trials run in one process")
+    return [params_parent, run_parent]
 
-    sub = top.add_subparsers(dest="command", metavar="COMMAND")
 
-    fig2 = sub.add_parser(
-        "fig2", parents=[params_parent, run_parent],
-        help="optimal reference distance vs beamwidth at fixed p, with both "
-        "analytic upper-bound variants",
-    )
+def _fig2_options(fig2: argparse.ArgumentParser) -> None:
     fig2.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
                       help="beamwidth grid 'start:stop:count' or comma list "
                       "(default 24 points, pi/12 .. 2*pi)")
 
-    fig34 = sub.add_parser(
-        "fig34", parents=[params_parent, run_parent],
-        help="jointly optimal transmission probability and reference distance "
-        "vs beamwidth",
-    )
+
+def _fig34_options(fig34: argparse.ArgumentParser) -> None:
     fig34.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
                        help="beamwidth grid (default 24 points, pi/12 .. 2*pi)")
 
-    fig5 = sub.add_parser(
-        "fig5", parents=[params_parent, run_parent],
-        help="optimized progress density: directional vs omnidirectional",
-    )
+
+def _fig5_options(fig5: argparse.ArgumentParser) -> None:
     fig5.add_argument("--phi-grid", type=_grid_spec, default=COARSE_PHI_GRID,
                       help="beamwidth grid (default 12 points, pi/6 .. 2*pi)")
     fig5.add_argument("--simulate", action="store_true",
@@ -660,10 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig5.add_argument("--trials", type=int, default=2000,
                       help="trials per simulated point (default 2000)")
 
-    sweep = sub.add_parser(
-        "sweep", parents=[params_parent, run_parent],
-        help="tabulate the progress density (or its optimum) over one parameter",
-    )
+
+def _sweep_options(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--param", required=True, choices=SWEEPABLE_KEYS,
                        help="which parameter the grid varies")
     sweep.add_argument("--values", required=True, type=_grid_spec,
@@ -675,19 +680,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
                        default=ProtocolVariant.DIRECTIONAL.value)
 
-    opt = sub.add_parser(
-        "optimize", parents=[params_parent, run_parent],
-        help="optimize the progress density at the given parameters",
-    )
+
+def _optimize_options(opt: argparse.ArgumentParser) -> None:
     opt.add_argument("--mode", choices=("joint", "rm"), default="joint",
                      help="joint (p, r_m) search or r_m-only at fixed p")
     opt.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
                      default=ProtocolVariant.DIRECTIONAL.value)
 
-    simcmd = sub.add_parser(
-        "simulate", parents=[params_parent, run_parent],
-        help="Monte-Carlo estimate of the progress density",
-    )
+
+def _simulate_options(simcmd: argparse.ArgumentParser) -> None:
     simcmd.add_argument("--trials", type=int, default=20000,
                         help="number of network draws (default 20000)")
     simcmd.add_argument("--guard-radius", type=float, default=None,
@@ -697,6 +698,56 @@ def build_parser() -> argparse.ArgumentParser:
                         default=ProtocolVariant.DIRECTIONAL.value)
     simcmd.add_argument("--emit-trials", action="store_true",
                         help="also write the per-trial sample table")
+
+
+#: Each command's one-line help and the function that adds its own options.
+COMMANDS = {
+    "fig2": (
+        "optimal reference distance vs beamwidth at fixed p, with both "
+        "analytic upper-bound variants",
+        _fig2_options,
+    ),
+    "fig34": (
+        "jointly optimal transmission probability and reference distance "
+        "vs beamwidth",
+        _fig34_options,
+    ),
+    "fig5": ("optimized progress density: directional vs omnidirectional", _fig5_options),
+    "sweep": (
+        "tabulate the progress density (or its optimum) over one parameter",
+        _sweep_options,
+    ),
+    "optimize": ("optimize the progress density at the given parameters", _optimize_options),
+    "simulate": ("Monte-Carlo estimate of the progress density", _simulate_options),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser. Its commands' parsers are built on first use
+    (_Subcommands)."""
+    top = argparse.ArgumentParser(
+        prog="sectorrelay",
+        description=(
+            "Analytic tables, parameter sweeps and Monte-Carlo runs for "
+            "sector-based relay selection under slotted ALOHA."
+        ),
+    )
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    top.add_argument(
+        "--from-manifest",
+        metavar="PATH",
+        help="replay a recorded run; outputs are reproduced byte-for-byte "
+        "(combine with --outdir to redirect them)",
+    )
+    top.add_argument(
+        "--outdir",
+        default=None,
+        help="output directory when replaying a manifest (subcommands take "
+        "their own --outdir)",
+    )
+    sub = top.add_subparsers(action=_Subcommands, dest="command", metavar="COMMAND")
+    for name, (help, add_options) in COMMANDS.items():
+        sub.add_command(name, help, add_options)
     return top
 
 
@@ -704,10 +755,8 @@ def _setting_options(parser: argparse.ArgumentParser, command: str) -> dict:
     """A command's settings, by key: the options of its subparser, less the
     network parameters (the manifest records those apart), --outdir and
     --help."""
-    subcommands = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sub = subcommands.choices[command]
+    subcommands = next(a for a in parser._actions if isinstance(a, _Subcommands))
+    sub = subcommands.parser(command)
     shared = next(g for g in sub._action_groups if g.title == PARAMS_GROUP)._group_actions
     return {
         a.dest: a

@@ -11,12 +11,16 @@ the selection region, the sector |angle| <= phi/2 beyond r_m. The region
 is unbounded, so the relay always exists, and the void probability of
 the annular sector out to d makes d^2 - r_m^2 exactly Exp(b), with
 b = (1-p)*lambda*phi/2 (model.relay_rate): the law the closed form
-integrates. Angles are independent of radii: one uniform on the sector
-per relay. sample_relay_distances keeps the full-disk draw and
-select_relay as the independent check of this law.
+integrates. The relay's angle is uniform on the sector and independent
+of everything else in the trial, so it is integrated out rather than
+drawn (below). sample_relay_distances keeps the full-disk draw and
+select_relay as the independent check of both laws.
 
 Conditional estimator: a trial records the expected progress given its
-draws, d*cos*P_s, instead of a sampled success indicator. Only the
+draws, d*c*P_s, instead of a sampled success indicator. Averaging the
+relay's cos(angle) over the sector gives c = sin(phi/2)/(phi/2)
+(sector_mean_cosine); P_s depends on d alone, because the near field is
+centred on the relay and isotropic, so this is exact. Only the
 transmitters whose sector covers the relay interfere. Uniform headings
 make them an independent thinning of the transmitters (density p*lambda)
 by q, the chance that a sector covers a point (phi/(2*pi) directional, 1
@@ -60,24 +64,33 @@ The weights alone are heavy-tailed (a rare point next to the relay
 weighs 1/g_k); only their product with P_s is tamed, so a weight
 averages to 1 but its own sample variance says little.
 
+Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
+u = (i mod STRATA + U)/STRATA, so each block of STRATA consecutive
+trials covers the relay law's quantiles evenly; the inverse CDF and the
+weight are unchanged. The trials within a block are not independent, but
+the blocks are: the estimate is still the mean over all trials, and its
+standard error is the spread of the block means. A run draws whole
+blocks, rounding the trial count up to a multiple of STRATA, and the
+standard error keeps blocks - 1 degrees of freedom (249 at 1000 trials).
+
 Batches and randomness: trials run in chunks of CHUNK = 128, each on its
 own SFC64 substream; the proposal's table (ring edges, areas, b, kappa)
 is built once per run. Within a chunk the draw order is fixed: relay
-angles, relay distance uniforms, interferer counts on the (ring, trial)
-grid, interferer squared-radius uniforms. Each cell's near-field -log P_s
-is one segment sum (np.add.reduceat); the far field is evaluated once
-per run, over all trials after the chunks are joined. The kernel always
-draws a whole chunk and keeps the trials the run asks for, so trial i's
-sample depends only on (seed, i), not on the trial count. A chunk with
-an interferer on its relay (measure zero) is redrawn under the next
-attempt. Each run's constants are checked when its table is built, so a
-parameter that puts them out of a double's range fails there with a
-DomainError that names it, and numpy's floating-point warnings are
-silenced inside the kernel.
+distance uniforms, interferer counts on the (ring, trial) grid,
+interferer squared-radius uniforms. Each cell's near-field -log P_s is
+one segment sum (np.add.reduceat); the far field is evaluated once per
+run, over all trials after the chunks are joined. The kernel always
+draws a whole chunk, which holds whole blocks, and keeps the trials the
+run asks for, so trial i's sample depends only on (seed, i), not on the
+trial count. A chunk with an interferer on its relay (measure zero) is
+redrawn under the next attempt. Each run's constants are checked when
+its table is built, so a parameter that puts them out of a double's
+range fails there with a DomainError that names it, and numpy's
+floating-point warnings are silenced inside the kernel.
 
-collect_trials returns the trials as four arrays in trial order, d,
-cos_offset, progress and weight, and summarize_trials reduces
-weight*progress to the estimate; there are no per-trial SIR diagnostics.
+collect_trials returns the trials as three arrays in trial order, d,
+progress and weight, and summarize_trials reduces weight*progress to the
+estimate; there are no per-trial SIR diagnostics.
 simulate_link_success keeps the raw SIR indicator (interferer positions,
 beam headings, sector coverage and fading all sampled) as the
 independent check of the thinning and fading laws, batched in chunks on
@@ -113,6 +126,13 @@ _TAG_SAMPLE = 2
 #: near field, at phi = 2*pi).
 CHUNK = 128
 
+#: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
+#: and the standard error is taken over the means of consecutive blocks of
+#: STRATA trials. CHUNK is a multiple of it, so every chunk holds whole
+#: blocks. More strata cut the variance further but leave the block means
+#: too few trials each for their spread to give a well-calibrated z.
+STRATA = 4
+
 #: Near-field rings, as fractions of the near-field radius L: an inner disk
 #: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L and
 #: one outer ring out to L.
@@ -121,8 +141,8 @@ RING_OUTER = 0.25
 RING_COUNT = 12
 
 #: CSV column order and schema version of per-trial streams.
-TRIAL_COLUMNS = ("trial", "d", "cos_offset", "progress", "weight")
-TRIAL_SCHEMA_VERSION = 4
+TRIAL_COLUMNS = ("trial", "d", "progress", "weight")
+TRIAL_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -131,7 +151,8 @@ class SimConfig:
 
     guard_radius is the near-field radius L around the relay inside which
     interferers are drawn (beyond it they are integrated out). seed is a
-    64-bit integer; trials the number of independent network draws.
+    64-bit integer; trials the number of network draws, which a run rounds
+    up to whole blocks of STRATA.
     Checks itself when built (validate), as NetworkParams does.
     """
 
@@ -182,13 +203,13 @@ class SimConfig:
 class Trials(NamedTuple):
     """Per-trial outcomes in trial order: trial i sits at index i.
 
-    progress is the conditional expected progress d*cos_offset*P_s given
-    the trial's draws, and weight the draws' likelihood ratio: the mean of
-    weight*progress estimates the mean progress.
+    progress is the conditional expected progress d*c*P_s given the
+    trial's draws, with c = sector_mean_cosine(phi), and weight the draws'
+    likelihood ratio: the mean of weight*progress estimates the mean
+    progress.
     """
 
     d: np.ndarray
-    cos_offset: np.ndarray
     progress: np.ndarray
     weight: np.ndarray
 
@@ -460,15 +481,21 @@ def _proposal(
 
 
 def _chunk_near_field(params: NetworkParams, table: _Proposal, rng: np.random.Generator):
-    """One chunk: (d, cos_offset, near, log_weight), where near and
-    log_weight hold one row per radius: the near-field -log P_s and the log
-    likelihood ratio of the trial's draws inside that radius."""
-    cos_offset = np.cos(params.phi * (rng.random(CHUNK) - 0.5))
-    e = _exponential(rng, table.rate, CHUNK)
+    """One chunk: (d, near, log_weight), where near and log_weight hold one
+    row per radius: the near-field -log P_s and the log likelihood ratio of
+    the trial's draws inside that radius.
+
+    Trial j of the chunk draws its relay uniform u in stratum j mod STRATA.
+    E = -log(1 - u)/rate takes 1 - u = (STRATA - j mod STRATA - U)/STRATA,
+    in which the top stratum's 1 - U is exact, so u never rounds to 1.
+    """
+    upper = STRATA - np.arange(CHUNK) % STRATA
+    e = np.log((upper - rng.random(CHUNK)) / STRATA)
+    e /= -table.rate
     d = np.sqrt(table.r_m2 + e)
     near, log_weight = _near_field(params, table, d, rng)
     log_weight += table.log_ratio + table.kappa * e
-    return d, cos_offset, near, log_weight
+    return d, near, log_weight
 
 
 def _near_field(
@@ -517,22 +544,29 @@ def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
     return params.beta * d**params.alpha
 
 
+def sector_mean_cosine(phi: float) -> float:
+    """Mean of cos(theta) over a relay angle theta uniform on the sector
+    [-phi/2, phi/2]: sin(phi/2)/(phi/2)."""
+    half = 0.5 * phi
+    return math.sin(half) / half
+
+
 def _with_far_field(
     params: NetworkParams,
     table: _Proposal,
     d: np.ndarray,
-    cos_offset: np.ndarray,
     near: np.ndarray,
     log_weight: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(progress, weight), one row per radius: progress d*cos_offset*P_s
-    from each row of near-field -log P_s plus the exact far field beyond its
-    radius, and the weight exp(log_weight)."""
+    """(progress, weight), one row per radius: progress d*c*P_s, with c the
+    sector's mean cosine, from each row of near-field -log P_s plus the
+    exact far field beyond its radius, and the weight exp(log_weight)."""
     s = _link_scale(params, d)
+    forward = d * sector_mean_cosine(params.phi)
     progress = np.empty_like(near)
     for row, near_loss, radius in zip(progress, near, table.radii):
         loss = near_loss + table.density * far_field_integral(s, params.alpha, radius)
-        row[:] = d * cos_offset * np.exp(-loss)
+        row[:] = forward * np.exp(-loss)
     return progress, np.exp(log_weight)
 
 
@@ -542,14 +576,16 @@ def _run_trials(
     variant: ProtocolVariant,
     radii: tuple[float, ...],
 ):
-    """(d, cos_offset, progress, weight) of trials 0 .. sim.trials-1, with
-    one row of progress and of weight per radius.
+    """(d, progress, weight) of trials 0 .. n-1, with one row of progress
+    and of weight per radius; n is sim.trials rounded up to whole blocks of
+    STRATA.
 
     The proposal table is built once; the chunks draw and sum the near
     field; the far field is evaluated once over all trials after they are
     joined. Overflow inside the kernel is left to the table's checks and
     the final one, so numpy's floating-point warnings are silenced.
     """
+    trials = STRATA * math.ceil(sim.trials / STRATA)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = _proposal(params, variant, radii)
         results = [
@@ -557,18 +593,18 @@ def _run_trials(
                 lambda rng: _chunk_near_field(params, table, rng),
                 sim.seed, _TAG_TRIAL, chunk,
             )
-            for chunk in range(math.ceil(sim.trials / CHUNK))
+            for chunk in range(math.ceil(trials / CHUNK))
         ]
-        d, cos_offset, near, log_weight = (
-            np.concatenate(column, axis=-1)[..., : sim.trials] for column in zip(*results)
+        d, near, log_weight = (
+            np.concatenate(column, axis=-1)[..., :trials] for column in zip(*results)
         )
-        progress, weight = _with_far_field(params, table, d, cos_offset, near, log_weight)
+        progress, weight = _with_far_field(params, table, d, near, log_weight)
         if not np.isfinite(weight * progress).all():
             raise DomainError(
                 "the trial kernel produced non-finite values: the parameters are out of "
                 "the simulator's range"
             )
-    return d, cos_offset, progress, weight
+    return d, progress, weight
 
 
 def collect_trials(
@@ -576,31 +612,40 @@ def collect_trials(
     sim: SimConfig,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> Trials:
-    """All trials in trial order."""
-    d, cos_offset, progress, weight = _run_trials(params, sim, variant, (sim.guard_radius,))
-    return Trials(d, cos_offset, progress[0], weight[0])
+    """All trials in trial order: sim.trials rounded up to whole blocks of
+    STRATA."""
+    d, progress, weight = _run_trials(params, sim, variant, (sim.guard_radius,))
+    return Trials(d, progress[0], weight[0])
 
 
 def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
     """Reduce per-trial progress to the density-of-progress estimate.
 
-    progress is each trial's weighted progress, weight*progress of Trials.
-    The estimator is p*lambda times its sample mean;
-    the reduction uses numpy's pairwise summation over the trial-ordered
-    array, so it is reproducible bit-for-bit.
+    progress is each trial's weighted progress, weight*progress of Trials,
+    in trial order. The estimator is p*lambda times its sample mean. Trial
+    i drew its relay in stratum i mod STRATA, so the standard error comes
+    from the means of consecutive blocks of STRATA trials, which are
+    independent: progress must hold whole blocks, at least two. The
+    reductions use numpy's pairwise summation over the trial-ordered
+    array, so they are reproducible bit-for-bit.
     """
     n = len(progress)
-    if n < 2:
-        raise DomainError("need at least 2 trials to form a std_error")
+    blocks = n // STRATA
+    if n % STRATA or blocks < 2:
+        raise DomainError(
+            f"need whole blocks of {STRATA} trials, at least 2, to form a std_error; "
+            f"got {n} trials"
+        )
     scale = params.p * params.lam
+    block_means = np.mean(np.reshape(progress, (blocks, STRATA)), axis=1)
     # np.std squares the values, which underflow below about 1e-154: divide by
     # a power of two near the largest first. Scaling by a power of two is
     # exact, so wherever nothing underflowed the result keeps its bits.
-    exponent = math.frexp(float(np.max(np.abs(progress))))[1]
-    spread = math.ldexp(float(np.std(np.ldexp(progress, -exponent), ddof=1)), exponent)
+    exponent = math.frexp(float(np.max(np.abs(block_means))))[1]
+    spread = math.ldexp(float(np.std(np.ldexp(block_means, -exponent), ddof=1)), exponent)
     return ProgressEstimate(
         mean=scale * float(np.mean(progress)),
-        std_error=scale * spread / math.sqrt(n),
+        std_error=scale * spread / math.sqrt(blocks),
         trials_used=n,
     )
 
@@ -656,7 +701,7 @@ def guard_sensitivity(
     """
     if not guards:
         raise DomainError("need at least one guard radius")
-    _, _, progress, weight = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
+    _, progress, weight = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
     return [summarize_trials(w * y, params) for y, w in zip(progress, weight)]
 
 
@@ -669,21 +714,26 @@ def sample_relay_distances(
     window_radius: float,
     trials: int,
     seed: int,
-) -> np.ndarray:
-    """Relay distances over independent draws (NaN when no relay exists).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, angles) of the relays over independent draws, NaN where
+    no relay exists; an angle is measured from the transmitter's heading.
 
     Geometry only - no interference - so it is cheap enough for
-    distribution tests against the relay-distance CDF. Receivers fill the
-    whole window and select_relay picks the relay, independently of the
-    trial kernel's draw from the relay law.
+    distribution tests against the relay-distance CDF and the uniform angle
+    on the sector. Receivers fill the whole window and select_relay picks
+    the relay, independently of the trial kernel's draw from the relay law
+    and its integral over the angle.
     """
-    out = np.empty(trials)
+    distances = np.full(trials, math.nan)
+    angles = np.full(trials, math.nan)
     for i in range(trials):
         rng = substream(seed, _TAG_SAMPLE, i)
         receivers = sample_ppp((1.0 - params.p) * params.lam, window_radius, rng)
         relay = select_relay(receivers, params.phi, params.r_m)
-        out[i] = math.nan if relay is None else float(np.hypot(*relay))
-    return out
+        if relay is not None:
+            distances[i] = np.hypot(*relay)
+            angles[i] = math.atan2(relay[1], relay[0])
+    return distances, angles
 
 
 def link_sir(

@@ -188,7 +188,7 @@ def test_criterion_7_simulation_reproduces_the_closed_form():
 
     # relay-distance law: KS at the 1% level over 1e4 draws
     params_rm = _with(BASE, r_m=0.1)
-    ds = simulate.sample_relay_distances(params_rm, window_radius=4.0, trials=10_000, seed=2)
+    ds, _ = simulate.sample_relay_distances(params_rm, window_radius=4.0, trials=10_000, seed=2)
     clean = ds[~np.isnan(ds)]
     ks = stats.kstest(
         clean,

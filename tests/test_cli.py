@@ -366,13 +366,14 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     schema, rows = read_table(a / "simulate.csv")
     assert schema == "# schema: sectorrelay.simulate v2"
     row = rows[0]
-    assert row["trials_used"] == "150"
+    # the run draws whole blocks of 4 relay strata: 150 rounds up to 152
+    assert row["trials_used"] == "152"
     assert abs(float(row["z_score"])) < 4.0
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
-    assert trial_schema == "# schema: sectorrelay.simulate_trials v4"
-    assert len(trial_rows) == 150
+    assert trial_schema == "# schema: sectorrelay.simulate_trials v5"
+    assert len(trial_rows) == 152
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
     rc = cli.main(["--from-manifest", str(a / "simulate_manifest.json"), "--outdir", str(b)])
@@ -591,6 +592,29 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert sectorrelay.__version__ in capsys.readouterr().out
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, cli._Subcommands))
+
+
+def test_each_command_parses_as_in_the_full_parser(capsys):
+    # a run builds only the parser of the command it invokes: that parser must
+    # print the same help and take the same settings as in a parser that has
+    # built every command, in the opposite order
+    assert list(cli.COMMANDS) == list(cli.HANDLERS)
+    full = cli.build_parser()
+    settings = {name: cli._setting_options(full, name) for name in reversed(cli.HANDLERS)}
+    assert cli.build_parser().format_help() == full.format_help()
+    for name in cli.HANDLERS:
+        alone = cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            alone.parse_args([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == _subcommands(full).parser(name).format_help()
+        built = [key for key, parser in _subcommands(alone).choices.items() if parser is not None]
+        assert built == [name]
+        assert cli._setting_options(alone, name).keys() == settings[name].keys()
 
 
 # ---------------------------------------------------------------------
