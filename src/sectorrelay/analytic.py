@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import specfun
 from .errors import DomainError, VacuousBoundError
@@ -50,6 +51,29 @@ BOUND_VARIANTS = ("standard", "alternate")
 # link-level success and relay geometry
 # =====================================================================
 
+def success_law(
+    params: NetworkParams,
+    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
+) -> Callable[[float], float]:
+    """The link success probability as a function of the link distance d.
+
+    Returns d -> P_s = exp(-a*d^2), a = interferer_density * t, with a
+    formed once, so a caller that evaluates many distances at fixed
+    parameters pays for t and the density once. The returned function
+    raises DomainError for d < 0.
+    """
+    a = interferer_density(params, variant) * spatial_interference_constant(
+        params.alpha, params.beta
+    )
+
+    def law(d: float) -> float:
+        if d < 0:
+            raise DomainError(f"link distance must be >= 0, got {d}")
+        return math.exp(-a * d * d)
+
+    return law
+
+
 def success_probability(
     params: NetworkParams,
     d: float,
@@ -57,14 +81,11 @@ def success_probability(
 ) -> float:
     """Probability that a link of distance d beats the SIR threshold.
 
-    P_s = exp(-interferer_density * t * d^2). Strictly decreasing in d, p,
-    lambda and (directionally) phi; equal to 1 at d = 0. Independent of mu:
-    the fading mean cancels from the SIR.
+    P_s = exp(-interferer_density * t * d^2) (success_law at one d).
+    Strictly decreasing in d, p, lambda and (directionally) phi; equal to 1
+    at d = 0. Independent of mu: the fading mean cancels from the SIR.
     """
-    if d < 0:
-        raise DomainError(f"link distance must be >= 0, got {d}")
-    t = spatial_interference_constant(params.alpha, params.beta)
-    return math.exp(-interferer_density(params, variant) * t * d * d)
+    return success_law(params, variant)(d)
 
 
 def relay_distance_cdf(params: NetworkParams, r: float) -> float:
@@ -174,18 +195,20 @@ def expected_density_numeric(
     rounding, about b*r_m^2*eps relative. Its mass cannot hide in a
     thin sliver away from the lower limit (as it does in x when b*r_m^2
     is large): a fast outage decay only moves it towards s = 0, where the
-    exp-sinh nodes cluster. Uses the success-probability formula as a
-    black box so the route stays independent of the closed form. Raises
-    QuadratureError rather than return a value the rule could not certify
-    (see specfun.integrate_semi_infinite).
+    exp-sinh nodes cluster. Takes P_s only through success_law, as a black
+    box, so the route stays independent of the closed form; the law is
+    built once per integral, not once per node. Raises QuadratureError
+    rather than return a value the rule could not certify (see
+    specfun.integrate_semi_infinite).
     """
     angular_mean = 2.0 / params.phi * math.sin(params.phi / 2.0)
     b = relay_rate(params)
     r_m2 = params.r_m**2
+    p_s = success_law(params, variant)
 
     def integrand(s: float) -> float:
         x = math.sqrt(r_m2 + s / b)
-        return success_probability(params, x, variant) * x * math.exp(-s)
+        return p_s(x) * x * math.exp(-s)
 
     quad = specfun.integrate_semi_infinite(integrand, 0.0)
     return params.p * params.lam * angular_mean * quad.value

@@ -109,7 +109,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
 
-from .errors import DegenerateSampleError, DomainError, ParameterError
+from .errors import DegenerateSampleError, DomainError, EmptyEstimateError, ParameterError
 from .model import NetworkParams, ProtocolVariant, interferer_density, relay_rate
 
 TWO_PI = 2.0 * math.pi
@@ -627,7 +627,9 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
     from the means of consecutive blocks of STRATA trials, which are
     independent: progress must hold whole blocks, at least two. The
     reductions use numpy's pairwise summation over the trial-ordered
-    array, so they are reproducible bit-for-bit.
+    array, so they are reproducible bit-for-bit. Raises EmptyEstimateError
+    when every trial's weighted progress is exactly 0 (it underflows):
+    such a run carries no estimate.
     """
     n = len(progress)
     blocks = n // STRATA
@@ -635,6 +637,11 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
         raise DomainError(
             f"need whole blocks of {STRATA} trials, at least 2, to form a std_error; "
             f"got {n} trials"
+        )
+    if not np.any(progress):
+        raise EmptyEstimateError(
+            f"the weighted progress of all {n} trials is 0 (it underflows at "
+            "these parameters), so the run estimates nothing"
         )
     scale = params.p * params.lam
     block_means = np.mean(np.reshape(progress, (blocks, STRATA)), axis=1)

@@ -16,6 +16,7 @@ double-exponential rule of Takahasi and Mori for the quadrature.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,6 +120,10 @@ def _exp_sinh_level(h: float, odd: bool) -> tuple[tuple[float, float], ...]:
 #: nodes that halving h adds. The first level's ends are t = _T_LO, _T_HI.
 _NODES = tuple(_exp_sinh_level(0.5 / 2**n, n > 0) for n in range(_LEVELS))
 
+#: The same levels split into (offsets, weights) tuples, the layout the
+#: quadrature loop reads.
+_LEVEL_TABLES = tuple(tuple(zip(*nodes)) for nodes in _NODES)
+
 
 def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> QuadratureResult:
     """Quadrature of f over [lower, inf) by the exp-sinh rule.
@@ -131,7 +136,9 @@ def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> Quadra
     exponentially in 1/h, each halving of h about doubling the correct
     digits. t runs over [-5, 3], that is
     x - lower from about 1e-51 to 7e6, with h halved from 1/2 to 1/128,
-    each halving evaluating only the new nodes. The value is returned
+    each halving evaluating only the new nodes. The nodes' offsets from
+    lower and their weights are tabulated once, at import, one pair of
+    tuples per step size (_LEVEL_TABLES, from _NODES). The value is returned
     once two successive step sizes agree to QUAD_RTOL relative; the
     reported abs_error_estimate is their difference.
 
@@ -148,15 +155,15 @@ def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> Quadra
     value = math.nan
     nonzero = False
     evaluations = 0
-    for level, nodes in enumerate(_NODES):
-        fx = [f(lower + x) for x, _ in nodes]
+    for level, (offsets, weights) in enumerate(_LEVEL_TABLES):
+        fx = [f(lower + x) for x in offsets]
         evaluations += len(fx)
         nonzero = nonzero or any(fx)
         h *= 0.5
-        added = h * math.fsum(w * y for (_, w), y in zip(nodes, fx))
+        added = h * math.fsum(map(operator.mul, weights, fx))
         previous = value
         if level == 0:
-            ends = abs(nodes[0][1] * fx[0]) + abs(nodes[-1][1] * fx[-1])
+            ends = abs(weights[0] * fx[0]) + abs(weights[-1] * fx[-1])
             value = added
         else:
             value = 0.5 * previous + added

@@ -91,6 +91,21 @@ def test_success_probability_omni_equals_full_circle():
 def test_success_probability_negative_distance_rejected():
     with pytest.raises(DomainError):
         analytic.success_probability(BASE, -0.1)
+    with pytest.raises(DomainError):
+        analytic.success_law(BASE)(-0.1)
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_success_probability_is_the_curried_law(variant):
+    # one P_s formula: the per-distance entry point is the law at one d,
+    # to the bit
+    for alpha, beta, p, phi, lam in itertools.product(
+        [2.01, 3.0, 8.0], [1e-3, 10.0, 1e3], [1e-4, 0.5, 0.99], [0.05, math.pi, 6.2], [1e-3, 1e3]
+    ):
+        params = NetworkParams(lam=lam, alpha=alpha, beta=beta, p=p, phi=phi)
+        law = analytic.success_law(params, variant)
+        for d in [0.0, 1e-3, 0.3, 1.0, 3.0, 30.0]:
+            assert analytic.success_probability(params, d, variant) == law(d)
 
 
 def test_interferer_density_both_variants():
@@ -215,6 +230,27 @@ def test_quadrature_twin_over_the_admissible_domain():
             continue
         if closed >= 1e-250:
             assert numeric == pytest.approx(closed, rel=1e-7, abs=0.0), (params, variant)
+
+
+def test_quadrature_twin_frozen_anchors():
+    # exact values, so that any change to the twin's evaluation order shows
+    assert analytic.expected_density_numeric(BASE) == 0.02860692543750733
+    assert analytic.expected_density_numeric(_with(BASE, r_m=0.3)) == 0.029140359307878574
+    assert analytic.expected_density_numeric(
+        _with(BASE, r_m=0.2), ProtocolVariant.OMNIDIRECTIONAL
+    ) == 0.005863913824219895
+
+
+def test_quadrature_twin_takes_p_s_only_through_the_law(monkeypatch):
+    # halve the law: the twin's value halves exactly (a factor of 2 is
+    # exact in binary), so it reads P_s through success_law and nowhere else
+    params = _with(BASE, r_m=0.3)
+    law = analytic.success_law
+    baseline = analytic.expected_density_numeric(params)
+    monkeypatch.setattr(
+        analytic, "success_law", lambda params, variant: lambda d: 0.5 * law(params, variant)(d)
+    )
+    assert analytic.expected_density_numeric(params) == 0.5 * baseline
 
 
 def test_quadrature_twin_raises_where_its_integrand_underflows():

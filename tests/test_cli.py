@@ -404,6 +404,19 @@ def test_simulate_std_error_survives_tiny_progress(tmp_path):
     assert math.isfinite(float(rows[0]["z_score"]))
 
 
+def test_simulate_all_zero_progress_is_an_error_row(tmp_path):
+    # P_s underflows in every trial: the run estimates nothing, so it is an
+    # error row and exit 3, not a row of zeros labelled ok
+    rc = cli.main([
+        "simulate", "--alpha", "2.2", "--beta-db", "10", "--p", "0.5", "--phi", "0.3",
+        "--r-m", "3", "--variant", "omnidirectional", "--trials", "2000", "--seed", "1",
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 3
+    _, rows = read_table(tmp_path / "simulate.csv")
+    assert rows[0]["status"].startswith("error: EmptyEstimateError: ")
+
+
 def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
     rc = cli.main(["simulate", "--trials", "50", "--outdir", str(tmp_path)])
     assert rc == 2

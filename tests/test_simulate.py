@@ -19,6 +19,7 @@ from sectorrelay import analytic, optimize, simulate
 from sectorrelay.errors import (
     DegenerateSampleError,
     DomainError,
+    EmptyEstimateError,
     ParameterError,
 )
 from sectorrelay.model import NetworkParams, ProtocolVariant
@@ -422,6 +423,16 @@ def test_summarize_trials_needs_two_trials():
         with pytest.raises(DomainError):
             simulate.summarize_trials(np.arange(float(n)), BASE)
     assert simulate.summarize_trials(np.arange(2.0 * simulate.STRATA), BASE).trials_used == 8
+
+
+def test_summarize_trials_refuses_all_zero_progress():
+    # no trial carried progress: no estimate, rather than a mean of 0 with
+    # a standard error of 0
+    with pytest.raises(EmptyEstimateError):
+        simulate.summarize_trials(np.zeros(2 * simulate.STRATA), BASE)
+    tiny = np.zeros(2 * simulate.STRATA)
+    tiny[-1] = 1e-300
+    assert simulate.summarize_trials(tiny, BASE).mean > 0.0
 
 
 def test_validate_for_estimation_names_violations():

@@ -149,6 +149,17 @@ def test_quadrature_shifted_lower_limit():
     assert res.value == pytest.approx(3.0 * math.exp(-2.0), rel=1e-10)
 
 
+def test_quadrature_frozen_anchor():
+    # integrable singularity at the lower limit: exact value sqrt(pi); the
+    # literals freeze the rule's value, error estimate and node count
+    res = specfun.integrate_semi_infinite(
+        lambda u: math.exp(-u) / math.sqrt(u) if u > 0 else 0.0, 0.0
+    )
+    assert res.value == 1.7724538509055159
+    assert res.abs_error_estimate == 2.453592884421596e-11
+    assert res.evaluations == 129
+
+
 def test_quadrature_divergent_integrand_raises():
     with pytest.raises(QuadratureError):
         specfun.integrate_semi_infinite(lambda u: 1.0 / (1.0 + u), 0.0)
