@@ -43,9 +43,9 @@ simulator still samples the interference it is checking.
 Importance sampling: both draws come from proposals that favour the
 trials which carry the estimate, and each trial carries their likelihood
 ratio as its weight; the estimator averages weight*progress. The
-normalizers are elementary (an exponential rate and annulus areas), so
-no closed-form integral enters and the simulator stays an independent
-check of the formula.
+normalizers are elementary (an exponential rate and power integrals over
+the rings), so no closed-form integral enters and the simulator stays an
+independent check of the formula.
 - Relay: E = d^2 - r_m^2 ~ Exp(b + kappa), kappa = rho*beta^(2/alpha)*pi,
   drawn through the inverse CDF (one uniform per trial, no window to
   truncate it), with log weight log(b/(b + kappa)) + kappa*E. P_s decays
@@ -53,15 +53,27 @@ check of the formula.
   every alpha > 2: the proposal's tail never falls below the integrand's,
   so the relay weight cannot outgrow P_s.
 - Interferers: the near field is split into rings, an inner disk out to
-  L/1000, 12 geometric rings out to L/4 and one ring out to L, with every
-  radius guard_sensitivity is given as a further edge. Ring k, of area
-  A_k, draws at density rho*g_k, g_k = 1/(1 + s*r_k^-alpha) at its
-  geometric mid radius r_k (the inner disk at its outer edge), squared
-  radii uniform in the ring; its N_k points add -rho*(1 - g_k)*A_k
-  - N_k*log(g_k) to the log weight, computed per (ring, trial) cell, and
-  each point still contributes its own log1p(x_i) to -log P_s.
+  L/1000, 8 geometric rings out to L/4 and one ring out to L, with every
+  radius guard_sensitivity is given as a further edge. Each ring has a
+  tilt radius r_k, its geometric mid radius (the inner disk's outer
+  edge), and h_k = 1/(1 + s*r_k^-alpha), the link's survival past one
+  interferer there. A geometric ring is shaped: it draws at density
+  rho*h_k*(r/r_k)^gamma_k, gamma_k = alpha*(1 - h_k), which follows the
+  survival curve h(r) = 1/(1 + s*r^-alpha) in log-log space about r_k (h
+  changes by up to 8x across a ring at alpha = 3, which one flat tilt
+  per ring misses). Its mass is the power integral
+      M_k = 2*pi*rho*r_k^2*h_k*(hi^(gamma_k+2) - lo^(gamma_k+2))/(gamma_k+2),
+  lo and hi its edges over r_k, and a point's t = r/r_k is drawn by the
+  inverse CDF, t^(gamma_k+2) uniform between lo^(gamma_k+2) and
+  hi^(gamma_k+2). The inner disk and the rings beyond L/4 keep
+  gamma_k = 0 (density rho*h_k, squared radii uniform): beyond L/4 h is
+  close to 1, the inner disk rarely holds a point, and a flat inner disk
+  keeps every ring's weight second moment finite. Ring k's N_k points
+  add M_k - rho*A_k - N_k*log(h_k) - gamma_k*sum(log t) to the log
+  weight, computed per (ring, trial) cell, and each point still
+  contributes its own log1p(x_i) to -log P_s.
 The weights alone are heavy-tailed (a rare point next to the relay
-weighs 1/g_k); only their product with P_s is tamed, so a weight
+weighs 1/h_k); only their product with P_s is tamed, so a weight
 averages to 1 but its own sample variance says little.
 
 Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
@@ -73,20 +85,21 @@ standard error is the spread of the block means. A run draws whole
 blocks, rounding the trial count up to a multiple of STRATA, and the
 standard error keeps blocks - 1 degrees of freedom (249 at 1000 trials).
 
-Batches and randomness: trials run in chunks of CHUNK = 128, each on its
+Batches and randomness: trials run in chunks of CHUNK = 256, each on its
 own SFC64 substream; the proposal's table (ring edges, areas, b, kappa)
 is built once per run. Within a chunk the draw order is fixed: relay
 distance uniforms, interferer counts on the (ring, trial) grid,
-interferer squared-radius uniforms. Each cell's near-field -log P_s is
-one segment sum (np.add.reduceat); the far field is evaluated once per
-run, over all trials after the chunks are joined. The kernel always
-draws a whole chunk, which holds whole blocks, and keeps the trials the
-run asks for, so trial i's sample depends only on (seed, i), not on the
-trial count. A chunk with an interferer on its relay (measure zero) is
-redrawn under the next attempt. Each run's constants are checked when
-its table is built, so a parameter that puts them out of a double's
-range fails there with a DomainError that names it, and numpy's
-floating-point warnings are silenced inside the kernel.
+interferer radius uniforms. Each cell's near-field -log P_s is one
+segment sum (np.add.reduceat), as is each shaped cell's sum of log t;
+the far field is evaluated once per run, over all trials after the
+chunks are joined. The kernel always draws a whole chunk, which holds
+whole blocks, and keeps the trials the run asks for, so trial i's sample
+depends only on (seed, i), not on the trial count. A chunk with an
+interferer on its relay (measure zero) is redrawn under the next
+attempt. Each run's constants are checked when its table is built, so a
+parameter that puts them out of a double's range fails there with a
+DomainError that names it, and numpy's floating-point warnings are
+silenced inside the kernel.
 
 collect_trials returns the trials as three arrays in trial order, d,
 progress and weight, and summarize_trials reduces weight*progress to the
@@ -120,11 +133,12 @@ _TAG_LINK = 1
 _TAG_SAMPLE = 2
 
 #: Trials per substream. Fixed, so that a trial's sample does not depend on
-#: the trial count; 128 spreads the kernel's per-chunk numpy calls (the
-#: (ring, trial) grid, the Poisson draw) over enough trials, and a chunk's
-#: arrays stay small (at most about 80k interferer radii at the default
-#: near field, at phi = 2*pi).
-CHUNK = 128
+#: the trial count; 256 spreads the kernel's per-chunk numpy calls (the
+#: (ring, trial) grid with the shaped rings' powers, the Poisson draw) over
+#: enough trials, and a chunk's arrays stay small (at most about 160k
+#: interferer radii at the default near field, at phi = 2*pi); 512 ran
+#: slower.
+CHUNK = 256
 
 #: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
 #: and the standard error is taken over the means of consecutive blocks of
@@ -134,11 +148,14 @@ CHUNK = 128
 STRATA = 4
 
 #: Near-field rings, as fractions of the near-field radius L: an inner disk
-#: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L and
-#: one outer ring out to L.
+#: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L,
+#: whose tilts are shaped to the link's survival curve, and one outer ring
+#: out to L. With the shape, 8 rings cut the variance about as far as 24
+#: flat ones; 10 or 12 cut it a little further, at a kernel cost that takes
+#: the gain back.
 RING_INNER = 1e-3
 RING_OUTER = 0.25
-RING_COUNT = 12
+RING_COUNT = 8
 
 #: CSV column order and schema version of per-trial streams.
 TRIAL_COLUMNS = ("trial", "d", "progress", "weight")
@@ -219,8 +236,11 @@ class _Proposal(NamedTuple):
 
     The relay's E = d^2 - r_m^2 is drawn at rate = b + kappa, and
     log_ratio = log(b/rate). Ring k has tilt radius r_k, with
-    mid_power[k] = r_k^-alpha, and spans squared radii r_k^2 times
-    inner2[k] to inner2[k] + width2[k]; mass[k] is density times its area.
+    mid_power[k] = r_k^-alpha, and spans radii r_k*exp(log_lo[k]) to
+    r_k*exp(log_hi[k]); scale[k] = 2*pi*density*r_k^2, and target_mass[k]
+    is density times its area, the ring's mean count without a tilt. The
+    rings in the slice shaped have tilts that follow the link's survival
+    curve, with slope[k] = alpha; the others are flat, slope[k] = 0.
     radii[j] holds the first ends[j] rings.
     """
 
@@ -231,9 +251,12 @@ class _Proposal(NamedTuple):
     rate: float
     kappa: float
     log_ratio: float
-    inner2: np.ndarray
-    width2: np.ndarray
-    mass: np.ndarray
+    log_lo: np.ndarray
+    log_hi: np.ndarray
+    scale: np.ndarray
+    target_mass: np.ndarray
+    slope: np.ndarray
+    shaped: slice
     mid_power: np.ndarray
 
 
@@ -416,8 +439,10 @@ def _proposal(
     Rings: the inner disk out to RING_INNER*L, RING_COUNT geometric rings
     out to RING_OUTER*L and one outer ring out to L, the widest radius;
     every radius is also an edge, so that each radius owns whole rings and
-    exact weights. A ring's tilt is taken at its geometric mid radius, the
-    inner disk's at its outer edge.
+    exact weights. A ring's tilt radius is its geometric mid radius, the
+    inner disk's its outer edge. The rings past the inner disk and within
+    RING_OUTER*L are shaped; they lie next to each other, so their points
+    do too in the kernel's ring-major order.
 
     Every constant is checked here: a parameter that puts one outside the
     range of a double raises DomainError naming it, before any draw.
@@ -436,6 +461,10 @@ def _proposal(
     r_m2 = params.r_m * params.r_m
     mid_power = mid**-params.alpha
     width2 = (outer - inner) * (outer + inner)
+    # the shaped rings lie past the inner disk and within the geometric rings
+    shaped = slice(1, int(np.searchsorted(outer, geometric[-1], side="right")))
+    slope = np.zeros(len(mid))
+    slope[shaped] = params.alpha
     if not math.isfinite(r_m2):
         raise DomainError(
             f"r_m = {params.r_m:.6g} is out of the simulator's range: r_m^2 overflows a double"
@@ -473,9 +502,12 @@ def _proposal(
         rate=b + kappa,
         kappa=kappa,
         log_ratio=math.log(b / (b + kappa)),
-        inner2=(inner / mid) ** 2,
-        width2=width2 / mid**2,
-        mass=density * math.pi * width2,
+        log_lo=np.r_[-math.inf, np.log(inner[1:] / mid[1:])],
+        log_hi=np.log(outer / mid),
+        scale=TWO_PI * density * mid**2,
+        target_mass=density * math.pi * width2,
+        slope=slope,
+        shaped=shaped,
         mid_power=mid_power,
     )
 
@@ -510,30 +542,52 @@ def _near_field(
     Counts and sums live on a (ring, trial) grid in ring-major order, so a
     radius's rows sum its first rings.
     """
-    # ring k draws at density rho*g, g = 1/(1 + tilt), tilt = s*r_mid^-alpha
+    # ring k draws at density rho*h*(r/r_k)^gamma, with h = 1/(1 + tilt)
+    # the link's survival past an interferer at r_k, tilt = s*r_k^-alpha,
+    # and gamma = alpha*(1 - h) its log-log slope there on the shaped rings
+    # (0 elsewhere)
     tilt = np.multiply.outer(table.mid_power, _link_scale(params, d))
-    g = 1.0 / (1.0 + tilt)
-    counts = rng.poisson(table.mass[:, None] * g)
-    # the cell's log likelihood ratio: -rho*(1-g)*A - N*log(g)
+    h = 1.0 / (1.0 + tilt)
+    gamma = tilt * h
+    gamma *= table.slope[:, None]
+    power = gamma + 2.0
+    # t = r/r_k has t^power uniform on [lo, lo + span]
+    lo = np.exp(power * table.log_lo[:, None])
+    span = np.exp(power * table.log_hi[:, None])
+    span -= lo
+    mass = table.scale[:, None] * h * span / power
+    counts = rng.poisson(mass)
+    cells = counts.ravel()
+    # the cell's log likelihood ratio: M - rho*A - N*log(h) - gamma*sum(log t)
     log_w = counts * np.log1p(tilt)
-    log_w -= table.mass[:, None] * (1.0 - g)
-    per_ring = counts.sum(axis=1)
-    # squared radii over the tilt radius's square, uniform in each ring; in
-    # place where possible: these arrays are the size of the chunk's
-    # interferer count, and fresh ones cost page faults
-    q = rng.random(int(per_ring.sum()))
-    # only the inner disk, whose squared radii start at 0, reaches the relay
-    if not q[: per_ring[0]].all():
+    log_w += mass
+    log_w -= table.target_mass[:, None]
+    # t^power of each point, in place where possible: these arrays are the
+    # size of the chunk's interferer count, and fresh ones cost page faults
+    q = rng.random(int(cells.sum()))
+    ring_ends = np.cumsum(counts.sum(axis=1))
+    # only the inner disk, whose radii start at 0, reaches the relay
+    if not q[: ring_ends[0]].all():
         raise DegenerateSampleError("interferer coincides with the relay")
-    q *= np.repeat(table.width2, per_ring)
-    q += np.repeat(table.inner2, per_ring)
+    q *= np.repeat(span.ravel(), cells)
+    q += np.repeat(lo.ravel(), cells)
+    log_t2 = np.log(q, out=q)
+    # on the shaped rings, whose points lie next to each other in ring-major
+    # order: gamma*log t = ratio*log t^power with ratio = gamma/power, and
+    # log t^2 = (1 - ratio)*log t^power; on the flat rings power is 2 already
+    rings = table.shaped
+    ratio = gamma[rings] / power[rings]
+    cell = np.repeat(np.arange(ratio.size), counts[rings].ravel())
+    shaped = log_t2[ring_ends[0] : ring_ends[rings.stop - 1]]
+    log_w[rings] -= ratio * np.bincount(cell, shaped, ratio.size).reshape(ratio.shape)
+    shaped *= (1.0 - ratio).ravel()[cell]
     # the link survives interferer i with probability 1/(1 + x_i), where
-    # x_i = s*r_i^-alpha = tilt*q_i^(-alpha/2)
-    x = np.log(q, out=q)
+    # x_i = s*r_i^-alpha = tilt*t_i^-alpha
+    x = log_t2
     x *= -0.5 * params.alpha
-    x += np.repeat(np.log(tilt), counts.ravel())
+    x += np.repeat(np.log(tilt).ravel(), cells)
     log_loss = np.log1p(np.exp(x, out=x), out=x)
-    loss = _segment_sums(log_loss, counts.ravel()).reshape(counts.shape)
+    loss = _segment_sums(log_loss, cells).reshape(counts.shape)
     near = np.array([np.add.reduce(loss[:end]) for end in table.ends])
     log_weight = np.array([np.add.reduce(log_w[:end]) for end in table.ends])
     return near, log_weight

@@ -329,13 +329,15 @@ def test_estimator_agrees_at_a_distant_reference(variant):
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
-    # 100 trials end inside the chunk that 150 trials run past
-    assert 100 // simulate.CHUNK < 150 // simulate.CHUNK and 100 % simulate.CHUNK
-    sim = simulate.SimConfig(trials=150, seed=123, guard_radius=10.0)
-    long = simulate.collect_trials(BASE, sim)
-    short = simulate.collect_trials(BASE, dataclasses.replace(sim, trials=100))
-    assert len(short.progress) == 100
-    assert _same_trials(short, (column[:100] for column in long))
+    # the short run ends inside the chunk that the long run runs past (100
+    # and 150 trials at CHUNK = 128)
+    short, long = simulate.CHUNK - 28, simulate.CHUNK + 22
+    assert short // simulate.CHUNK < long // simulate.CHUNK and short % simulate.STRATA == 0
+    sim = simulate.SimConfig(trials=long, seed=123, guard_radius=10.0)
+    full = simulate.collect_trials(BASE, sim)
+    prefix = simulate.collect_trials(BASE, dataclasses.replace(sim, trials=short))
+    assert len(prefix.progress) == short
+    assert _same_trials(prefix, (column[:short] for column in full))
 
 
 class _ZeroFirst:
@@ -604,6 +606,23 @@ def test_strata_and_the_mean_cosine_cut_the_per_trial_variance(phi, bound, varia
     assert sim.trials * (est.std_error / est.mean) ** 2 <= bound
 
 
+@pytest.mark.parametrize(
+    "alpha, beta_db, bound",
+    [(4.0, 10.0, 0.025), (5.0, 30.0, 0.045)],
+    ids=["alpha-4", "alpha-5-30dB"],
+)
+def test_shaped_tilts_cut_the_per_trial_variance_off_the_default(alpha, beta_db, bound):
+    # directional, phi = pi/2, at the joint optimum: one flat tilt per ring
+    # gave n*RSE^2 of 0.044 at alpha = 4 and 0.078 at alpha = 5, 30 dB, where
+    # the link's survival changes most across a ring
+    base = _with(BASE, alpha=alpha, beta=10.0 ** (beta_db / 10.0))
+    best = optimize.optimize_joint(base)
+    params = _with(base, p=best.p_star, r_m=best.rm_star)
+    sim = simulate.SimConfig.for_params(params, trials=20_000, seed=3)
+    est = simulate.estimate_density_of_progress(params, sim)
+    assert sim.trials * (est.std_error / est.mean) ** 2 <= bound
+
+
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 def test_estimates_are_calibrated(variant):
     # 100 independent 300-trial estimates at the joint optimum for
@@ -621,15 +640,41 @@ def test_estimates_are_calibrated(variant):
     assert stats.kstest(zs, "norm").pvalue > 0.01
 
 
+def _log_weight_second_moment(params, table, d):
+    """log E[w^2] of the near field's likelihood ratio around a relay at d.
+
+    Ring k draws at density rho*g(r), g = h_k*(r/r_k)^gamma_k with h_k the
+    link's survival 1/(1 + s*r_k^-alpha) and gamma_k = alpha*(1 - h_k) on
+    the shaped rings (0 elsewhere), so log E[w^2] sums
+    rho*integral of (1 - g)^2/g dA = rho*integral of (1/g - 2 + g) dA over
+    the rings: power integrals in t = r/r_k, with dA = 2*pi*r_k^2*t dt.
+    """
+    h = 1.0 / (1.0 + table.mid_power * params.beta * d**params.alpha)
+    gamma = table.slope * (1.0 - h)
+    total = 0.0
+    for h_k, gamma_k, lo, hi, scale in zip(
+        h, gamma, np.exp(table.log_lo), np.exp(table.log_hi), table.scale
+    ):
+        def integral(a):
+            # rho * integral over the ring of t^a dA
+            if a == -2.0:
+                return scale * math.log(hi / lo)
+            return scale * (hi ** (a + 2.0) - lo ** (a + 2.0)) / (a + 2.0)
+
+        total += integral(-gamma_k) / h_k - 2.0 * integral(0.0) + h_k * integral(gamma_k)
+    return total
+
+
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 def test_near_field_weights_average_to_one(variant):
     # the near field's likelihood ratio alone, with the progress factor set
-    # to 1, around relays fixed at d = 0.2: its mean is 1. Given d, ring k's
-    # weight has the second moment exp(rho*A_k*(1 - g_k)^2/g_k), so the
-    # budget uses that exact sigma; a sample's own sigma misses the rare
-    # draws next to the relay that carry the weights' tail. The sign of the
-    # area term matters: flipped, the mean is 1.09 (directional) or 1.41
-    # (omnidirectional), 15 or 22 sigma away
+    # to 1, around relays fixed at d = 0.2: its mean is 1. Given d, the
+    # weight has the exact second moment exp(rho*integral of (1 - g)^2/g dA)
+    # (_log_weight_second_moment), so the budget uses that sigma; a sample's
+    # own sigma misses the rare draws next to the relay that carry the
+    # weights' tail. The sign of the normalizers' term M_k - rho*A_k
+    # matters: flipped, the mean is 1.08 (directional) or 1.36
+    # (omnidirectional), 19 or 28 sigma away
     d = 0.2
     table = simulate._proposal(OPT, variant, (40.0,))
     weights = np.concatenate([
@@ -639,9 +684,35 @@ def test_near_field_weights_average_to_one(variant):
         )[1][0])
         for chunk in range(160)
     ])
-    g = 1.0 / (1.0 + table.mid_power * OPT.beta * d**OPT.alpha)
-    sigma = math.sqrt(math.expm1(float(np.sum(table.mass * (1.0 - g) ** 2 / g))))
+    sigma = math.sqrt(math.expm1(_log_weight_second_moment(OPT, table, d)))
     assert abs(weights.mean() - 1.0) < 4.0 * sigma / math.sqrt(len(weights))
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+def test_shaped_rings_reproduce_the_link_law(variant):
+    # around relays fixed at d, the near field's weight times its survival
+    # factor, times the exact far field, averages to the closed-form success
+    # probability. The product is bounded, as the tilt's ratio to the link's
+    # survival is bounded on every ring, so a sample sigma serves. A wrong
+    # sign of the shape's slope or a wrong normalizer moves the mean
+    radius = 40.0
+    table = simulate._proposal(OPT, variant, (radius,))
+    density = analytic.interferer_density(OPT, variant)
+    for d in (0.2, 1.0, 3.0):
+        far = density * simulate.far_field_integral(OPT.beta * d**OPT.alpha, OPT.alpha, radius)
+        survival = np.concatenate([
+            np.exp(log_weight[0] - near[0] - far)
+            for near, log_weight in (
+                simulate._near_field(
+                    OPT, table, np.full(simulate.CHUNK, d),
+                    simulate.substream(12, simulate._TAG_TRIAL, chunk),
+                )
+                for chunk in range(100)
+            )
+        ])
+        target = analytic.success_probability(OPT, d, variant)
+        sigma = survival.std(ddof=1) / math.sqrt(len(survival))
+        assert abs(survival.mean() - target) < 4.0 * sigma, (d, survival.mean(), target, sigma)
 
 
 def test_directional_beats_omni_in_simulation():
