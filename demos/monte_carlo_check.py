@@ -28,8 +28,9 @@ opt = NetworkParams(
 # trials, the distances of the interferers whose beam covers the relay in a
 # near-field disk around it (a thinned Poisson process), and the rest of the
 # interference and the relay's angle integrated out exactly. Each trial
-# records its conditional expected progress; each chunk of trials runs on
-# its own seeded SFC64 substream, so runs replay exactly.
+# records its conditional expected progress; the trials are drawn in order
+# from seeded SFC64 streams, one for the relays and one for the near field,
+# so runs replay exactly.
 print("== progress-density estimate vs closed form ==")
 sim = simulate.SimConfig.for_params(opt, trials=3000, seed=7)
 print(f"near field {sim.guard_radius:.1f}, {sim.trials} trials, seed {sim.seed}")

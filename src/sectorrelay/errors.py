@@ -41,11 +41,6 @@ class RootFindError(OptimizationError):
         self.sign_map = sign_map
 
 
-class DegenerateSampleError(RuntimeError):
-    """A sampled configuration is degenerate (e.g. zero-distance interferer)
-    and the trial should be redrawn."""
-
-
 class EmptyEstimateError(RuntimeError):
     """Every trial of a Monte-Carlo run carried zero weighted progress, so
     the run estimates nothing (not even a standard error)."""

@@ -85,21 +85,24 @@ standard error is the spread of the block means. A run draws whole
 blocks, rounding the trial count up to a multiple of STRATA, and the
 standard error keeps blocks - 1 degrees of freedom (249 at 1000 trials).
 
-Batches and randomness: trials run in chunks of CHUNK = 256, each on its
-own SFC64 substream; the proposal's table (ring edges, areas, b, kappa)
-is built once per run. Within a chunk the draw order is fixed: relay
-distance uniforms, interferer counts on the (ring, trial) grid,
-interferer radius uniforms. Each cell's near-field -log P_s is one
-segment sum (np.add.reduceat), as is each shaped cell's sum of log t;
-the far field is evaluated once per run, over all trials after the
-chunks are joined. The kernel always draws a whole chunk, which holds
-whole blocks, and keeps the trials the run asks for, so trial i's sample
-depends only on (seed, i), not on the trial count. A chunk with an
-interferer on its relay (measure zero) is redrawn under the next
-attempt. Each run's constants are checked when its table is built, so a
-parameter that puts them out of a double's range fails there with a
-DomainError that names it, and numpy's floating-point warnings are
-silenced inside the kernel.
+Batches and randomness: trials run in chunks of CHUNK = 256; the
+proposal's table (ring edges, areas, b, kappa) is built once per run. A
+run draws from two SFC64 streams, one per purpose: the relay stream
+gives each chunk its relay distance uniforms, the near-field stream its
+interferer counts on the (ring, trial) grid and then its interferer
+radius uniforms. The relay distances therefore do not depend on the near
+field or its radius. Each cell's near-field -log P_s is one segment sum
+(np.add.reduceat), as is each shaped cell's sum of log t; the far field
+is evaluated once per run, over all trials after the chunks are joined.
+The kernel always draws whole chunks in order, each holding whole
+blocks, and keeps the trials the run asks for, so trial i's sample
+depends only on (seed, i), not on the trial count. An interferer drawn
+exactly on the relay (a uniform of exactly 0, probability 2^-53) gives
+its trial -log P_s = inf and progress 0, the exact conditional value.
+Each run's constants are checked when its table is built, so a parameter
+that puts them out of a double's range fails there with a DomainError
+that names it, and numpy's floating-point warnings are silenced inside
+the kernel.
 
 collect_trials returns the trials as three arrays in trial order, d,
 progress and weight, and summarize_trials reduces weight*progress to the
@@ -107,7 +110,7 @@ estimate; there are no per-trial SIR diagnostics.
 simulate_link_success keeps the raw SIR indicator (interferer positions,
 beam headings, sector coverage and fading all sampled) as the
 independent check of the thinning and fading laws, batched in chunks on
-its own stream tag. Its fading is drawn through the inverse exponential
+its own stream. Its fading is drawn through the inverse exponential
 CDF, which makes that SIR exactly invariant under changes of the fading
 rate mu; the trial kernel does not depend on mu.
 """
@@ -122,18 +125,19 @@ from typing import NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 loads it lazily; load it with the module)
 
-from .errors import DegenerateSampleError, DomainError, EmptyEstimateError, ParameterError
+from .errors import DomainError, EmptyEstimateError, ParameterError
 from .model import NetworkParams, ProtocolVariant, interferer_density, relay_rate
 
 TWO_PI = 2.0 * math.pi
 
-# stream tags give each purpose its own substreams
-_TAG_TRIAL = 0
-_TAG_LINK = 1
-_TAG_SAMPLE = 2
+# stream tags give each purpose of a run its own stream
+_TAG_RELAY = 0
+_TAG_NEAR = 1
+_TAG_LINK = 2
+_TAG_SAMPLE = 3
 
-#: Trials per substream. Fixed, so that a trial's sample does not depend on
-#: the trial count; 256 spreads the kernel's per-chunk numpy calls (the
+#: Trials per chunk. Fixed, so that a trial's sample does not depend on the
+#: trial count; 256 spreads the kernel's per-chunk numpy calls (the
 #: (ring, trial) grid with the shaped rings' powers, the Poisson draw) over
 #: enough trials, and a chunk's arrays stay small (at most about 160k
 #: interferer radii at the default near field, at phi = 2*pi); 512 ran
@@ -273,29 +277,10 @@ class ProgressEstimate:
 # sampling primitives
 # =====================================================================
 
-def substream(seed: int, tag: int, index: int, attempt: int = 0) -> np.random.Generator:
-    """SFC64 generator of one (purpose, index, attempt) cell, seeded by
-    SeedSequence((seed, tag, index, attempt)).
-
-    SeedSequence hashes the coordinates' 32-bit words, so every cell owns
-    an independent stream regardless of execution order. tag, index and
-    attempt fit one word each, so no two cells share their words.
-    """
-    if not (0 <= attempt < 2**20 and 0 <= index < 2**32 and 0 <= tag < 2**8):
-        raise ValueError(f"substream coordinates out of range: {(tag, index, attempt)}")
-    cell = np.random.SeedSequence((int(seed), tag, index, attempt))
-    return np.random.Generator(np.random.SFC64(cell))
-
-
-def _redrawn(draw, seed: int, tag: int, chunk: int):
-    """draw(rng) on the chunk's substream, under the next attempt while the
-    draw is degenerate."""
-    for attempt in range(100):
-        try:
-            return draw(substream(seed, tag, chunk, attempt))
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError(f"chunk {chunk} kept producing degenerate configurations")
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """SFC64 generator of one run's draws for one purpose, seeded by
+    SeedSequence((seed, tag)); callers draw from it chunk after chunk."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), tag))))
 
 
 def sample_ppp(density: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -512,20 +497,26 @@ def _proposal(
     )
 
 
-def _chunk_near_field(params: NetworkParams, table: _Proposal, rng: np.random.Generator):
+def _chunk_near_field(
+    params: NetworkParams,
+    table: _Proposal,
+    relays: np.random.Generator,
+    near_field: np.random.Generator,
+):
     """One chunk: (d, near, log_weight), where near and log_weight hold one
     row per radius: the near-field -log P_s and the log likelihood ratio of
-    the trial's draws inside that radius.
+    the trial's draws inside that radius. The relay uniforms come from
+    relays, the interferers from near_field.
 
     Trial j of the chunk draws its relay uniform u in stratum j mod STRATA.
     E = -log(1 - u)/rate takes 1 - u = (STRATA - j mod STRATA - U)/STRATA,
     in which the top stratum's 1 - U is exact, so u never rounds to 1.
     """
     upper = STRATA - np.arange(CHUNK) % STRATA
-    e = np.log((upper - rng.random(CHUNK)) / STRATA)
+    e = np.log((upper - relays.random(CHUNK)) / STRATA)
     e /= -table.rate
     d = np.sqrt(table.r_m2 + e)
-    near, log_weight = _near_field(params, table, d, rng)
+    near, log_weight = _near_field(params, table, d, near_field)
     log_weight += table.log_ratio + table.kappa * e
     return d, near, log_weight
 
@@ -540,7 +531,8 @@ def _near_field(
     at distances d, one row per radius.
 
     Counts and sums live on a (ring, trial) grid in ring-major order, so a
-    radius's rows sum its first rings.
+    radius's rows sum its first rings. A point of the inner disk drawn at
+    radius exactly 0 lies on the relay: its trial's -log P_s is inf.
     """
     # ring k draws at density rho*h*(r/r_k)^gamma, with h = 1/(1 + tilt)
     # the link's survival past an interferer at r_k, tilt = s*r_k^-alpha,
@@ -566,9 +558,6 @@ def _near_field(
     # size of the chunk's interferer count, and fresh ones cost page faults
     q = rng.random(int(cells.sum()))
     ring_ends = np.cumsum(counts.sum(axis=1))
-    # only the inner disk, whose radii start at 0, reaches the relay
-    if not q[: ring_ends[0]].all():
-        raise DegenerateSampleError("interferer coincides with the relay")
     q *= np.repeat(span.ravel(), cells)
     q += np.repeat(lo.ravel(), cells)
     log_t2 = np.log(q, out=q)
@@ -634,20 +623,20 @@ def _run_trials(
     and of weight per radius; n is sim.trials rounded up to whole blocks of
     STRATA.
 
-    The proposal table is built once; the chunks draw and sum the near
-    field; the far field is evaluated once over all trials after they are
-    joined. Overflow inside the kernel is left to the table's checks and
-    the final one, so numpy's floating-point warnings are silenced.
+    The proposal table is built once; the chunks draw in order from the
+    run's relay and near-field streams and sum the near field; the far
+    field is evaluated once over all trials after they are joined.
+    Overflow inside the kernel is left to the table's checks and the
+    final one, so numpy's floating-point warnings are silenced; an
+    interferer on a relay gives that trial progress 0 without a warning.
     """
     trials = STRATA * math.ceil(sim.trials / STRATA)
+    relays, near_field = _stream(sim.seed, _TAG_RELAY), _stream(sim.seed, _TAG_NEAR)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = _proposal(params, variant, radii)
         results = [
-            _redrawn(
-                lambda rng: _chunk_near_field(params, table, rng),
-                sim.seed, _TAG_TRIAL, chunk,
-            )
-            for chunk in range(math.ceil(trials / CHUNK))
+            _chunk_near_field(params, table, relays, near_field)
+            for _ in range(math.ceil(trials / CHUNK))
         ]
         d, near, log_weight = (
             np.concatenate(column, axis=-1)[..., :trials] for column in zip(*results)
@@ -787,8 +776,8 @@ def sample_relay_distances(
     """
     distances = np.full(trials, math.nan)
     angles = np.full(trials, math.nan)
+    rng = _stream(seed, _TAG_SAMPLE)
     for i in range(trials):
-        rng = substream(seed, _TAG_SAMPLE, i)
         receivers = sample_ppp((1.0 - params.p) * params.lam, window_radius, rng)
         relay = select_relay(receivers, params.phi, params.r_m)
         if relay is not None:
@@ -815,18 +804,18 @@ def link_sir(
     sector covers the receiver (all of them for the omnidirectional
     variant). Fading is drawn from rng: one Exp(mu) per trial for the
     signal, then one per interferer. A trial without interference gets
-    SIR = +inf. A zero-length link or an interferer on the receiver makes
-    the chunk degenerate and raises DegenerateSampleError so the caller can
-    redraw.
+    SIR = +inf. An interferer on the receiver is infinite interference, so
+    a trial whose sector covers it gets SIR = 0. Raises DomainError unless
+    d > 0.
     """
-    if d == 0.0:
-        raise DegenerateSampleError("receiver coincides with its transmitter")
+    if not d > 0.0:
+        raise DomainError(f"link distance must be > 0, got {d}")
     offsets = np.asarray(offsets, dtype=float).reshape(-1, 2)
     dists = np.hypot(offsets[:, 0], offsets[:, 1])
-    if not dists.all():
-        raise DegenerateSampleError("interferer coincides with the receiver")
     signal = _exponential(rng, params.mu, len(counts)) * d**-params.alpha
-    power = _exponential(rng, params.mu, len(dists)) * dists**-params.alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = _exponential(rng, params.mu, len(dists)) * dists**-params.alpha
+    power[dists == 0.0] = math.inf
     if variant is ProtocolVariant.DIRECTIONAL:
         power[~sector_covers(offsets, headings, (0.0, 0.0), params.phi)] = 0.0
     interference = _segment_sums(power, counts)
@@ -848,27 +837,23 @@ def simulate_link_success(
     The receiver sits at the origin with its serving transmitter d away and
     aimed at it; interferers are a fresh Poisson draw per trial inside
     interference_radius around the receiver, with uniform beam headings.
-    Trials run in chunks of CHUNK on the link stream (counts, then radius,
-    angle and heading uniforms in one call, then link_sir's fading).
-    Returns (estimate, std_error).
+    Trials run in chunks of CHUNK, drawn in order from the run's link
+    stream (counts, then radius, angle and heading uniforms in one call,
+    then link_sir's fading).
+    Returns (estimate, std_error); link_sir rejects d <= 0.
     """
-    if d <= 0:
-        raise DomainError(f"link distance must be > 0, got {d}")
     if interference_radius <= 0:
         raise DomainError(f"interference_radius must be > 0, got {interference_radius}")
     mean_count = params.p * params.lam * math.pi * interference_radius**2
-
-    def draw(rng):
+    rng = _stream(seed, _TAG_LINK)
+    successes = 0
+    for chunk in range(math.ceil(trials / CHUNK)):
         counts = rng.poisson(mean_count, CHUNK)
         u = rng.random((int(counts.sum()), 3))
         radius = interference_radius * np.sqrt(u[:, 0])
         angle = TWO_PI * u[:, 1]
         offsets = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
-        return link_sir(d, offsets, TWO_PI * u[:, 2], counts, params, rng, variant)
-
-    successes = 0
-    for chunk in range(math.ceil(trials / CHUNK)):
-        sir = _redrawn(draw, seed, _TAG_LINK, chunk)[: trials - chunk * CHUNK]
-        successes += int(np.count_nonzero(sir > params.beta))
+        sir = link_sir(d, offsets, TWO_PI * u[:, 2], counts, params, rng, variant)
+        successes += int(np.count_nonzero(sir[: trials - chunk * CHUNK] > params.beta))
     p_hat = successes / trials
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / trials)

@@ -10,18 +10,14 @@ their budgets, not at the edge.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
 from sectorrelay import analytic, optimize, simulate
-from sectorrelay.errors import (
-    DegenerateSampleError,
-    DomainError,
-    EmptyEstimateError,
-    ParameterError,
-)
+from sectorrelay.errors import DomainError, EmptyEstimateError, ParameterError
 from sectorrelay.model import NetworkParams, ProtocolVariant
 
 BASE = NetworkParams(lam=1.0, alpha=3.0, beta=10.0, p=0.12, phi=math.pi / 2)
@@ -33,31 +29,22 @@ def _with(params, **kw):
 
 
 # ---------------------------------------------------------------------
-# substreams
+# streams
 # ---------------------------------------------------------------------
 
-def test_substream_is_reproducible():
-    a = simulate.substream(123, 0, 7).random(5)
-    b = simulate.substream(123, 0, 7).random(5)
+def test_stream_is_reproducible():
+    a = simulate._stream(123, simulate._TAG_NEAR).random(5)
+    b = simulate._stream(123, simulate._TAG_NEAR).random(5)
     assert np.array_equal(a, b)
 
 
-def test_substream_cells_are_distinct():
-    base = simulate.substream(123, 0, 7).random(5)
-    for seed, tag, index, attempt in [
-        (124, 0, 7, 0), (123, 1, 7, 0), (123, 0, 8, 0), (123, 0, 7, 1),
+def test_streams_of_other_seeds_and_tags_differ():
+    base = simulate._stream(123, simulate._TAG_RELAY).random(5)
+    for seed, tag in [
+        (124, simulate._TAG_RELAY), (123, simulate._TAG_NEAR),
+        (123, simulate._TAG_LINK), (123, simulate._TAG_SAMPLE),
     ]:
-        other = simulate.substream(seed, tag, index, attempt).random(5)
-        assert not np.array_equal(base, other)
-
-
-def test_substream_coordinate_ranges():
-    for bad in [
-        (123, 256, 0, 0), (123, 0, 2**32, 0), (123, 0, 2**36, 0), (123, 0, 0, 2**20),
-        (123, -1, 0, 0),
-    ]:
-        with pytest.raises(ValueError):
-            simulate.substream(*bad)
+        assert not np.array_equal(base, simulate._stream(seed, tag).random(5))
 
 
 # ---------------------------------------------------------------------
@@ -69,7 +56,9 @@ def test_substream_coordinate_ranges():
 ], ids=["first-empty", "middle-empty", "last-empty", "mostly-empty", "all-empty", "no-trials"])
 def test_segment_sums_match_bincount(counts):
     counts = np.array(counts, dtype=np.int64)
-    values = simulate.substream(6, 0, 0).random(int(counts.sum()))
+    # whole numbers sum exactly in any order: reduceat adds a segment
+    # pairwise and bincount in sequence, which may differ in the last bit
+    values = np.random.default_rng(6).integers(1, 2**20, int(counts.sum())).astype(float)
     reference = np.bincount(np.repeat(np.arange(len(counts)), counts), values, len(counts))
     assert np.array_equal(simulate._segment_sums(values, counts), reference)
 
@@ -79,7 +68,7 @@ def test_segment_sums_match_bincount(counts):
 # ---------------------------------------------------------------------
 
 def test_sample_ppp_count_distribution():
-    rng = simulate.substream(2024, 0, 0)
+    rng = np.random.default_rng(2024)
     counts = np.array([len(simulate.sample_ppp(2.0, 2.0, rng)) for _ in range(3000)])
     expected = 2.0 * math.pi * 4.0
     z = (counts.mean() - expected) / math.sqrt(expected / len(counts))
@@ -92,7 +81,7 @@ def test_sample_ppp_count_distribution():
 def test_sample_ppp_conditional_uniformity():
     # given the count, points must be uniform in the disk: squared radius
     # and angle are both uniform
-    rng = simulate.substream(2024, 0, 1)
+    rng = np.random.default_rng((2024, 1))
     pts = simulate.sample_ppp(50.0, 5.0, rng)
     assert len(pts) > 3000
     r2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 25.0
@@ -102,7 +91,7 @@ def test_sample_ppp_conditional_uniformity():
 
 
 def test_sample_ppp_domain_errors():
-    rng = simulate.substream(1, 0, 0)
+    rng = np.random.default_rng(1)
     with pytest.raises(DomainError):
         simulate.sample_ppp(-1.0, 2.0, rng)
     with pytest.raises(DomainError):
@@ -116,8 +105,8 @@ def test_covering_transmitter_density():
     p, lam, phi, radius = 0.3, 1.0, math.pi, 6.0
     total = 0
     trials = 10_000
-    for i in range(trials):
-        rng = simulate.substream(314, 0, i)
+    rng = np.random.default_rng(314)
+    for _ in range(trials):
         tx_pos = simulate.sample_ppp(p * lam, radius, rng)
         tx_orient = 2 * math.pi * rng.random(len(tx_pos))
         total += int(simulate.sector_covers(tx_pos, tx_orient, (0.0, 0.0), phi).sum())
@@ -191,6 +180,15 @@ def test_relay_distances_rayleigh_specialization():
     assert result.pvalue > 0.01
 
 
+def test_relay_distance_draws_are_a_prefix():
+    # the draws run in order on one stream, so a shorter run repeats the
+    # start of a longer one
+    short = simulate.sample_relay_distances(BASE, window_radius=4.0, trials=30, seed=23)
+    long = simulate.sample_relay_distances(BASE, window_radius=4.0, trials=50, seed=23)
+    for few, many in zip(short, long):
+        assert np.array_equal(few, many[:30], equal_nan=True)
+
+
 def test_trial_kernel_relays_follow_the_closed_laws():
     # the kernel draws d^2 - r_m^2 from the proposal Exp(b + kappa) through
     # the inverse CDF, with kappa = rho*beta^(2/alpha)*pi; its distances must
@@ -233,7 +231,7 @@ def _link_sir(offsets, headings, counts, rng, variant=ProtocolVariant.DIRECTIONA
 
 
 def test_sir_without_interferers_is_infinite():
-    rng = simulate.substream(5, 1, 0)
+    rng = np.random.default_rng((5, 0))
     sir = _link_sir(np.empty((0, 2)), np.empty(0), [0, 0], rng)
     assert np.array_equal(sir, [math.inf, math.inf])
 
@@ -242,7 +240,7 @@ def test_sir_excludes_non_covering_interferers():
     # one interferer aiming away from the receiver: silent for the
     # directional variant, audible for the baseline
     interferer = ([[1.0, 0.0]], [0.0], [1])  # beam points further +x
-    rng = simulate.substream(5, 1, 1)
+    rng = np.random.default_rng((5, 1))
     sir_dir = _link_sir(*interferer, rng)
     assert sir_dir[0] == math.inf
     sir_omni = _link_sir(*interferer, rng, ProtocolVariant.OMNIDIRECTIONAL)
@@ -255,18 +253,27 @@ def test_sir_matched_distance_success_rate():
     draws = 100_000
     offsets = np.tile([1.0, 0.0], (draws, 1))
     headings = np.full(draws, math.pi)  # aimed back at the origin
-    rng = simulate.substream(5, 1, 2)
+    rng = np.random.default_rng((5, 2))
     sir = _link_sir(offsets, headings, np.ones(draws, dtype=int), rng)
     wins = int(np.count_nonzero(sir > BASE.beta))
     assert wins / draws == pytest.approx(1.0 / 11.0, abs=0.003)
 
 
-def test_sir_degenerate_draws_raise():
-    rng = simulate.substream(5, 1, 3)
-    with pytest.raises(DegenerateSampleError):  # zero-length link
+def test_sir_with_an_interferer_on_the_receiver_is_zero():
+    # infinite interference where the interferer's sector covers the
+    # receiver (trial 0), none where it aims away (trial 1); no warning
+    rng = np.random.default_rng((5, 3))
+    offsets, headings = [[0.0, 0.0], [0.0, 0.0]], [0.0, math.pi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sir = _link_sir(offsets, headings, [1, 1], rng)
+    assert sir[0] == 0.0 and sir[1] == math.inf
+
+
+def test_zero_length_link_raises_domain_error():
+    rng = np.random.default_rng((5, 4))
+    with pytest.raises(DomainError):
         _link_sir(np.empty((0, 2)), np.empty(0), [0], rng, d=0.0)
-    with pytest.raises(DegenerateSampleError):  # interferer on the receiver
-        _link_sir([[0.0, 0.0]], [0.0], [1], rng)
 
 
 def test_link_success_matches_closed_form():
@@ -329,8 +336,8 @@ def test_estimator_agrees_at_a_distant_reference(variant):
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
-    # the short run ends inside the chunk that the long run runs past (100
-    # and 150 trials at CHUNK = 128)
+    # the short run ends inside the chunk that the long run runs past (228
+    # and 278 trials at CHUNK = 256)
     short, long = simulate.CHUNK - 28, simulate.CHUNK + 22
     assert short // simulate.CHUNK < long // simulate.CHUNK and short % simulate.STRATA == 0
     sim = simulate.SimConfig(trials=long, seed=123, guard_radius=10.0)
@@ -359,51 +366,26 @@ class _ZeroFirst:
         return u
 
 
-def _force_degenerate(monkeypatch, chunk):
-    """Make attempt 0 of the given chunk put a point at distance 0; return
-    the log of substream cells drawn."""
-    real = simulate.substream
-    cells = []
-
-    def forced(seed, tag, index, attempt=0):
-        cells.append((index, attempt))
-        rng = real(seed, tag, index, attempt)
-        return _ZeroFirst(rng) if (index, attempt) == (chunk, 0) else rng
-
-    monkeypatch.setattr(simulate, "substream", forced)
-    return cells
-
-
-def test_degenerate_chunk_is_redrawn_reproducibly(monkeypatch):
-    chunk = simulate.CHUNK
-    sim = simulate.SimConfig(trials=3 * chunk, seed=5, guard_radius=10.0)
+def test_interferer_on_the_relay_gives_zero_progress(monkeypatch):
+    # the first trial of every chunk gets an inner-disk point at radius 0:
+    # its link cannot survive, so its progress is exactly 0, while its
+    # relay and weight stay as finite as any other trial's
+    sim = simulate.SimConfig(trials=2 * simulate.CHUNK, seed=5, guard_radius=10.0)
     clean = simulate.collect_trials(BASE, sim)
-    table = simulate._proposal(BASE, ProtocolVariant.DIRECTIONAL, (sim.guard_radius,))
-    progress1, weight1 = simulate._with_far_field(
-        BASE, table,
-        *simulate._chunk_near_field(
-            BASE, table, simulate.substream(sim.seed, simulate._TAG_TRIAL, 1, 1)
-        ),
+    real = simulate._stream
+    monkeypatch.setattr(
+        simulate, "_stream",
+        lambda seed, tag: _ZeroFirst(real(seed, tag)) if tag == simulate._TAG_NEAR
+        else real(seed, tag),
     )
-    cells = _force_degenerate(monkeypatch, 1)
-    first = simulate.collect_trials(BASE, sim)
-    second = simulate.collect_trials(BASE, sim)
-    # the interferer on the relay sends chunk 1 to its next attempt
-    assert cells == [(0, 0), (1, 0), (1, 1), (2, 0)] * 2
-    assert _same_trials(first, second)
-    others = np.r_[:chunk, 2 * chunk:3 * chunk]
-    assert _same_trials((c[others] for c in first), (c[others] for c in clean))
-    assert first.progress[chunk:2 * chunk].tolist() == progress1[0].tolist()
-    assert first.weight[chunk:2 * chunk].tolist() == weight1[0].tolist()
-
-
-def test_degenerate_link_chunk_is_redrawn(monkeypatch):
-    # the interferer on the receiver sends chunk 1 to its next attempt
-    trials = 3 * simulate.CHUNK
-    cells = _force_degenerate(monkeypatch, 1)
-    forced = simulate.simulate_link_success(BASE, 0.3, trials, 8, 9.0)
-    assert cells == [(0, 0), (1, 0), (1, 1), (2, 0)]
-    assert forced == simulate.simulate_link_success(BASE, 0.3, trials, 8, 9.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forced = simulate.collect_trials(BASE, sim)
+    firsts = np.arange(0, sim.trials, simulate.CHUNK)
+    assert np.array_equal(forced.d, clean.d)
+    assert np.all(forced.progress[firsts] == 0.0)
+    assert np.all(forced.progress[firsts + 1] > 0.0)
+    assert np.all(np.isfinite(forced.weight)) and np.all(forced.weight > 0.0)
 
 
 def test_summarize_trials_exact_scaling():
@@ -677,12 +659,13 @@ def test_near_field_weights_average_to_one(variant):
     # (omnidirectional), 19 or 28 sigma away
     d = 0.2
     table = simulate._proposal(OPT, variant, (40.0,))
+    rng = np.random.default_rng(4)
     weights = np.concatenate([
         np.exp(simulate._near_field(
             OPT, table, np.full(simulate.CHUNK, d),
-            simulate.substream(4, simulate._TAG_TRIAL, chunk),
+            rng,
         )[1][0])
-        for chunk in range(160)
+        for _ in range(160)
     ])
     sigma = math.sqrt(math.expm1(_log_weight_second_moment(OPT, table, d)))
     assert abs(weights.mean() - 1.0) < 4.0 * sigma / math.sqrt(len(weights))
@@ -698,6 +681,7 @@ def test_shaped_rings_reproduce_the_link_law(variant):
     radius = 40.0
     table = simulate._proposal(OPT, variant, (radius,))
     density = analytic.interferer_density(OPT, variant)
+    rng = np.random.default_rng(12)
     for d in (0.2, 1.0, 3.0):
         far = density * simulate.far_field_integral(OPT.beta * d**OPT.alpha, OPT.alpha, radius)
         survival = np.concatenate([
@@ -705,9 +689,9 @@ def test_shaped_rings_reproduce_the_link_law(variant):
             for near, log_weight in (
                 simulate._near_field(
                     OPT, table, np.full(simulate.CHUNK, d),
-                    simulate.substream(12, simulate._TAG_TRIAL, chunk),
+                    rng,
                 )
-                for chunk in range(100)
+                for _ in range(100)
             )
         ])
         target = analytic.success_probability(OPT, d, variant)
