@@ -83,17 +83,19 @@ weight are unchanged. The trials within a block are not independent, but
 the blocks are: the estimate is still the mean over all trials, and its
 standard error is the spread of the block means. A run draws whole
 blocks, rounding the trial count up to a multiple of STRATA, and the
-standard error keeps blocks - 1 degrees of freedom (249 at 1000 trials).
+standard error keeps blocks - 1 degrees of freedom (62 at 1000 trials,
+which round up to 1008).
 
 Batches and randomness: trials run in chunks of CHUNK = 256; the
 proposal's table (ring edges, areas, b, kappa) is built once per run. A
 run draws from two SFC64 streams, one per purpose: the relay stream
 gives each chunk its relay distance uniforms, the near-field stream its
 interferer counts on the (ring, trial) grid and then its interferer
-radius uniforms. The relay distances therefore do not depend on the near
-field or its radius. Each cell's near-field -log P_s is one segment sum
-(np.add.reduceat), as is each shaped cell's sum of log t; the far field
-is evaluated once per run, over all trials after the chunks are joined.
+radius uniforms, drawn into one per-run buffer that the chunks reuse. The
+relay distances therefore do not depend on the near field or its radius.
+Each cell's near-field -log P_s is one segment sum (np.add.reduceat), as
+is each shaped cell's sum of log t; the far field is evaluated once per
+run, over all trials after the chunks are joined.
 The kernel always draws whole chunks in order, each holding whole
 blocks, and keeps the trials the run asks for, so trial i's sample
 depends only on (seed, i), not on the trial count. An interferer drawn
@@ -147,9 +149,12 @@ CHUNK = 256
 #: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
 #: and the standard error is taken over the means of consecutive blocks of
 #: STRATA trials. CHUNK is a multiple of it, so every chunk holds whole
-#: blocks. More strata cut the variance further but leave the block means
-#: too few trials each for their spread to give a well-calibrated z.
-STRATA = 4
+#: blocks. With the shaped ring tilts the relay distance carries most of the
+#: per-trial variance, and its share falls about as 1/STRATA^2: at the
+#: default joint optima 16 strata give a per-trial n*RSE^2 of 0.005-0.009,
+#: 4 gave 0.020-0.026. The z's of 1000-trial runs still follow t with 62
+#: degrees of freedom.
+STRATA = 16
 
 #: Near-field rings, as fractions of the near-field radius L: an inner disk
 #: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L,
@@ -241,11 +246,12 @@ class _Proposal(NamedTuple):
     The relay's E = d^2 - r_m^2 is drawn at rate = b + kappa, and
     log_ratio = log(b/rate). Ring k has tilt radius r_k, with
     mid_power[k] = r_k^-alpha, and spans radii r_k*exp(log_lo[k]) to
-    r_k*exp(log_hi[k]); scale[k] = 2*pi*density*r_k^2, and target_mass[k]
-    is density times its area, the ring's mean count without a tilt. The
-    rings in the slice shaped have tilts that follow the link's survival
-    curve, with slope[k] = alpha; the others are flat, slope[k] = 0.
-    radii[j] holds the first ends[j] rings.
+    r_k*exp(log_hi[k]), so t = r/r_k has t^2 from flat_lo[k] to
+    flat_lo[k] + flat_span[k]; scale[k] = 2*pi*density*r_k^2, and
+    target_mass[k] is density times its area, the ring's mean count without
+    a tilt. The rings in the slice shaped have tilts that follow the link's
+    survival curve, with slope[k] = alpha; the others are flat, slope[k] =
+    0. radii[j] holds the first ends[j] rings.
     """
 
     radii: tuple[float, ...]
@@ -257,6 +263,8 @@ class _Proposal(NamedTuple):
     log_ratio: float
     log_lo: np.ndarray
     log_hi: np.ndarray
+    flat_lo: np.ndarray
+    flat_span: np.ndarray
     scale: np.ndarray
     target_mass: np.ndarray
     slope: np.ndarray
@@ -479,6 +487,9 @@ def _proposal(
             f"relay distance scale {1.0 / math.sqrt(b + kappa):.6g} out of the simulator's "
             "range: beta*d^alpha leaves a double"
         )
+    log_lo = np.r_[-math.inf, np.log(inner[1:] / mid[1:])]
+    log_hi = np.log(outer / mid)
+    flat_lo = np.exp(2.0 * log_lo)
     return _Proposal(
         radii=radii,
         ends=tuple(int(i) for i in np.searchsorted(edges, radii)),
@@ -487,8 +498,10 @@ def _proposal(
         rate=b + kappa,
         kappa=kappa,
         log_ratio=math.log(b / (b + kappa)),
-        log_lo=np.r_[-math.inf, np.log(inner[1:] / mid[1:])],
-        log_hi=np.log(outer / mid),
+        log_lo=log_lo,
+        log_hi=log_hi,
+        flat_lo=flat_lo,
+        flat_span=np.exp(2.0 * log_hi) - flat_lo,
         scale=TWO_PI * density * mid**2,
         target_mass=density * math.pi * width2,
         slope=slope,
@@ -497,11 +510,27 @@ def _proposal(
     )
 
 
+class _Scratch:
+    """One run's buffer for the chunks' interferer uniforms, reused from
+    chunk to chunk: a fresh array of that size for every chunk costs page
+    faults."""
+
+    def __init__(self) -> None:
+        self._array = np.empty(0)
+
+    def take(self, n: int) -> np.ndarray:
+        """The buffer's first n elements, after growing it if it holds fewer."""
+        if n > self._array.size:
+            self._array = np.empty(n + n // 4)
+        return self._array[:n]
+
+
 def _chunk_near_field(
     params: NetworkParams,
     table: _Proposal,
     relays: np.random.Generator,
     near_field: np.random.Generator,
+    scratch: _Scratch,
 ):
     """One chunk: (d, near, log_weight), where near and log_weight hold one
     row per radius: the near-field -log P_s and the log likelihood ratio of
@@ -516,7 +545,7 @@ def _chunk_near_field(
     e = np.log((upper - relays.random(CHUNK)) / STRATA)
     e /= -table.rate
     d = np.sqrt(table.r_m2 + e)
-    near, log_weight = _near_field(params, table, d, near_field)
+    near, log_weight = _near_field(params, table, d, near_field, scratch)
     log_weight += table.log_ratio + table.kappa * e
     return d, near, log_weight
 
@@ -526,13 +555,16 @@ def _near_field(
     table: _Proposal,
     d: np.ndarray,
     rng: np.random.Generator,
+    scratch: _Scratch | None = None,
 ):
     """(near, log_weight) of interferers drawn from the proposal around relays
-    at distances d, one row per radius.
+    at distances d, one row per radius. The points' uniforms are drawn into
+    scratch, a fresh buffer if none is given.
 
     Counts and sums live on a (ring, trial) grid in ring-major order, so a
-    radius's rows sum its first rings. A point of the inner disk drawn at
-    radius exactly 0 lies on the relay: its trial's -log P_s is inf.
+    radius's rows sum its first rings, and each ring's points lie next to
+    each other. A point of the inner disk drawn at radius exactly 0 lies on
+    the relay: its trial's -log P_s is inf.
     """
     # ring k draws at density rho*h*(r/r_k)^gamma, with h = 1/(1 + tilt)
     # the link's survival past an interferer at r_k, tilt = s*r_k^-alpha,
@@ -554,20 +586,23 @@ def _near_field(
     log_w = counts * np.log1p(tilt)
     log_w += mass
     log_w -= table.target_mass[:, None]
-    # t^power of each point, in place where possible: these arrays are the
-    # size of the chunk's interferer count, and fresh ones cost page faults
-    q = rng.random(int(cells.sum()))
-    ring_ends = np.cumsum(counts.sum(axis=1))
-    q *= np.repeat(span.ravel(), cells)
-    q += np.repeat(lo.ravel(), cells)
-    log_t2 = np.log(q, out=q)
-    # on the shaped rings, whose points lie next to each other in ring-major
-    # order: gamma*log t = ratio*log t^power with ratio = gamma/power, and
-    # log t^2 = (1 - ratio)*log t^power; on the flat rings power is 2 already
+    # t^power of each point, in the run's buffer: on the flat rings power is
+    # 2, so lo and span are the ring's own; on the shaped rings, the cell's
+    q = rng.random(out=(scratch or _Scratch()).take(int(cells.sum())))
+    bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
     rings = table.shaped
+    for k in (0, *range(rings.stop, len(counts))):
+        ring = q[bounds[k] : bounds[k + 1]]
+        ring *= table.flat_span[k]
+        ring += table.flat_lo[k]
     ratio = gamma[rings] / power[rings]
     cell = np.repeat(np.arange(ratio.size), counts[rings].ravel())
-    shaped = log_t2[ring_ends[0] : ring_ends[rings.stop - 1]]
+    shaped = q[bounds[rings.start] : bounds[rings.stop]]
+    shaped *= span[rings].ravel()[cell]
+    shaped += lo[rings].ravel()[cell]
+    log_t2 = np.log(q, out=q)
+    # on the shaped rings: gamma*log t = ratio*log t^power with ratio =
+    # gamma/power, and log t^2 = (1 - ratio)*log t^power
     log_w[rings] -= ratio * np.bincount(cell, shaped, ratio.size).reshape(ratio.shape)
     shaped *= (1.0 - ratio).ravel()[cell]
     # the link survives interferer i with probability 1/(1 + x_i), where
@@ -632,10 +667,11 @@ def _run_trials(
     """
     trials = STRATA * math.ceil(sim.trials / STRATA)
     relays, near_field = _stream(sim.seed, _TAG_RELAY), _stream(sim.seed, _TAG_NEAR)
+    scratch = _Scratch()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         table = _proposal(params, variant, radii)
         results = [
-            _chunk_near_field(params, table, relays, near_field)
+            _chunk_near_field(params, table, relays, near_field, scratch)
             for _ in range(math.ceil(trials / CHUNK))
         ]
         d, near, log_weight = (

@@ -366,14 +366,15 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     schema, rows = read_table(a / "simulate.csv")
     assert schema == "# schema: sectorrelay.simulate v2"
     row = rows[0]
-    # the run draws whole blocks of 4 relay strata: 150 rounds up to 152
-    assert row["trials_used"] == "152"
+    # the run draws whole blocks of STRATA relay strata: 150 rounds up to 160
+    drawn = simulate.STRATA * math.ceil(150 / simulate.STRATA)
+    assert row["trials_used"] == str(drawn)
     assert abs(float(row["z_score"])) < 4.0
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
     assert trial_schema == "# schema: sectorrelay.simulate_trials v5"
-    assert len(trial_rows) == 152
+    assert len(trial_rows) == drawn
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
     rc = cli.main(["--from-manifest", str(a / "simulate_manifest.json"), "--outdir", str(b)])

@@ -303,11 +303,13 @@ def _same_trials(a, b) -> bool:
 
 
 def test_collect_trials_is_deterministic():
-    sim = simulate.SimConfig(trials=12, seed=77, guard_radius=20.0)
+    # three whole blocks of STRATA trials
+    trials = 3 * simulate.STRATA
+    sim = simulate.SimConfig(trials=trials, seed=77, guard_radius=20.0)
     a = simulate.collect_trials(BASE, sim)
     b = simulate.collect_trials(BASE, sim)
     assert _same_trials(a, b)
-    assert [len(column) for column in a] == [12, 12, 12]
+    assert [len(column) for column in a] == [trials, trials, trials]
 
 
 def test_runs_draw_whole_strata_blocks():
@@ -336,9 +338,9 @@ def test_estimator_agrees_at_a_distant_reference(variant):
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
-    # the short run ends inside the chunk that the long run runs past (228
-    # and 278 trials at CHUNK = 256)
-    short, long = simulate.CHUNK - 28, simulate.CHUNK + 22
+    # the short run ends inside the chunk that the long run runs past, two
+    # blocks before its end (224 and 278 trials at CHUNK = 256, STRATA = 16)
+    short, long = simulate.CHUNK - 2 * simulate.STRATA, simulate.CHUNK + 22
     assert short // simulate.CHUNK < long // simulate.CHUNK and short % simulate.STRATA == 0
     sim = simulate.SimConfig(trials=long, seed=123, guard_radius=10.0)
     full = simulate.collect_trials(BASE, sim)
@@ -360,8 +362,8 @@ class _ZeroFirst:
         counts.flat[0] = max(counts.flat[0], 1)
         return counts
 
-    def random(self, size=None):
-        u = self._rng.random(size)
+    def random(self, size=None, out=None):
+        u = self._rng.random(size, out=out)
         u.flat[0] = 0.0
         return u
 
@@ -389,16 +391,17 @@ def test_interferer_on_the_relay_gives_zero_progress(monkeypatch):
 
 
 def test_summarize_trials_exact_scaling():
-    # three blocks of STRATA = 4 trials with means 1, 2 and 3: the standard
-    # error is the spread of the block means, not of the trials
-    assert simulate.STRATA == 4
+    # three blocks of STRATA trials with means 1, 2 and 3, each spread about
+    # its mean by half-integer offsets, which sum exactly: the standard error
+    # is the spread of the block means, not of the trials
     params = _with(BASE, lam=2.0, p=0.2)
-    progress = np.array([0.0, 2.0, 1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 3.0, 4.0, 2.0, 3.0])
+    offsets = np.arange(simulate.STRATA) - 0.5 * (simulate.STRATA - 1)
+    progress = np.concatenate([mean + offsets for mean in (1.0, 2.0, 3.0)])
     est = simulate.summarize_trials(progress, params)
     scale = 0.2 * 2.0
     assert est.mean == scale * 2.0
     assert est.std_error == pytest.approx(scale * 1.0 / math.sqrt(3.0), rel=1e-15)
-    assert est.trials_used == 12
+    assert est.trials_used == 3 * simulate.STRATA
 
 
 def test_summarize_trials_needs_two_trials():
@@ -406,7 +409,8 @@ def test_summarize_trials_needs_two_trials():
     for n in (simulate.STRATA, 2 * simulate.STRATA + 1, 2 * simulate.STRATA - 1):
         with pytest.raises(DomainError):
             simulate.summarize_trials(np.arange(float(n)), BASE)
-    assert simulate.summarize_trials(np.arange(2.0 * simulate.STRATA), BASE).trials_used == 8
+    two_blocks = simulate.summarize_trials(np.arange(2.0 * simulate.STRATA), BASE)
+    assert two_blocks.trials_used == 2 * simulate.STRATA
 
 
 def test_summarize_trials_refuses_all_zero_progress():
@@ -586,6 +590,19 @@ def test_strata_and_the_mean_cosine_cut_the_per_trial_variance(phi, bound, varia
     sim = simulate.SimConfig.for_params(params, trials=20_000, seed=3)
     est = simulate.estimate_density_of_progress(params, sim, variant)
     assert sim.trials * (est.std_error / est.mean) ** 2 <= bound
+
+
+@pytest.mark.parametrize("variant", list(ProtocolVariant))
+@pytest.mark.parametrize("phi", [math.pi / 6, math.pi / 2], ids=["pi-over-6", "pi-over-2"])
+def test_sixteen_relay_strata_cut_the_per_trial_variance(phi, variant):
+    # perfbench's montecarlo points, at the joint optimum: blocks of 4 relay
+    # strata gave n*RSE^2 of 0.020-0.026 there, where the relay distance
+    # carries most of the variance that the shaped ring tilts leave
+    best = optimize.optimize_joint(_with(BASE, phi=phi), variant)
+    params = _with(BASE, phi=phi, p=best.p_star, r_m=best.rm_star)
+    sim = simulate.SimConfig.for_params(params, trials=20_000, seed=3)
+    est = simulate.estimate_density_of_progress(params, sim, variant)
+    assert sim.trials * (est.std_error / est.mean) ** 2 <= 0.012
 
 
 @pytest.mark.parametrize(
