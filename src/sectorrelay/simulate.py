@@ -79,12 +79,14 @@ averages to 1 but its own sample variance says little.
 Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
 u = (i mod STRATA + U)/STRATA, so each block of STRATA consecutive
 trials covers the relay law's quantiles evenly; the inverse CDF and the
-weight are unchanged. The trials within a block are not independent, but
-the blocks are: the estimate is still the mean over all trials, and its
-standard error is the spread of the block means. A run draws whole
-blocks, rounding the trial count up to a multiple of STRATA, and the
-standard error keeps blocks - 1 degrees of freedom (62 at 1000 trials,
-which round up to 1008).
+weight are unchanged. Every trial is independent, but the strata's laws
+differ: the estimate is still the mean over all trials, and its variance
+is that of stratified sampling, the mean of the strata's own variances
+over n. A run draws whole blocks, rounding the trial count up to a
+multiple of STRATA, so each stratum holds one trial per block, and the
+standard error keeps up to STRATA*(blocks - 1) degrees of freedom (992
+at 1000 trials, which round up to 1008), as unequal strata variances
+allow. The spread of the block means would keep only blocks - 1 (62).
 
 Batches and randomness: trials run in chunks of CHUNK = 256; the
 proposal's table (ring edges, areas, b, kappa) is built once per run. A
@@ -147,13 +149,12 @@ _TAG_SAMPLE = 3
 CHUNK = 256
 
 #: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
-#: and the standard error is taken over the means of consecutive blocks of
-#: STRATA trials. CHUNK is a multiple of it, so every chunk holds whole
-#: blocks. With the shaped ring tilts the relay distance carries most of the
-#: per-trial variance, and its share falls about as 1/STRATA^2: at the
-#: default joint optima 16 strata give a per-trial n*RSE^2 of 0.005-0.009,
-#: 4 gave 0.020-0.026. The z's of 1000-trial runs still follow t with 62
-#: degrees of freedom.
+#: and the standard error is taken from the spread within each stratum, over
+#: consecutive blocks of STRATA trials. CHUNK is a multiple of it, so every
+#: chunk holds whole blocks. With the shaped ring tilts the relay distance
+#: carries most of the per-trial variance, and its share falls about as
+#: 1/STRATA^2: at the default joint optima 16 strata give a per-trial
+#: n*RSE^2 of 0.005-0.009, 4 gave 0.020-0.026.
 STRATA = 16
 
 #: Near-field rings, as fractions of the near-field radius L: an inner disk
@@ -246,12 +247,11 @@ class _Proposal(NamedTuple):
     The relay's E = d^2 - r_m^2 is drawn at rate = b + kappa, and
     log_ratio = log(b/rate). Ring k has tilt radius r_k, with
     mid_power[k] = r_k^-alpha, and spans radii r_k*exp(log_lo[k]) to
-    r_k*exp(log_hi[k]), so t = r/r_k has t^2 from flat_lo[k] to
-    flat_lo[k] + flat_span[k]; scale[k] = 2*pi*density*r_k^2, and
-    target_mass[k] is density times its area, the ring's mean count without
-    a tilt. The rings in the slice shaped have tilts that follow the link's
-    survival curve, with slope[k] = alpha; the others are flat, slope[k] =
-    0. radii[j] holds the first ends[j] rings.
+    r_k*exp(log_hi[k]); scale[k] = 2*pi*density*r_k^2, and target_mass[k]
+    is density times its area, the ring's mean count without a tilt. The
+    rings in the slice shaped have tilts that follow the link's survival
+    curve, with slope[k] = alpha; the others are flat, slope[k] = 0.
+    radii[j] holds the first ends[j] rings.
     """
 
     radii: tuple[float, ...]
@@ -263,8 +263,6 @@ class _Proposal(NamedTuple):
     log_ratio: float
     log_lo: np.ndarray
     log_hi: np.ndarray
-    flat_lo: np.ndarray
-    flat_span: np.ndarray
     scale: np.ndarray
     target_mass: np.ndarray
     slope: np.ndarray
@@ -487,9 +485,6 @@ def _proposal(
             f"relay distance scale {1.0 / math.sqrt(b + kappa):.6g} out of the simulator's "
             "range: beta*d^alpha leaves a double"
         )
-    log_lo = np.r_[-math.inf, np.log(inner[1:] / mid[1:])]
-    log_hi = np.log(outer / mid)
-    flat_lo = np.exp(2.0 * log_lo)
     return _Proposal(
         radii=radii,
         ends=tuple(int(i) for i in np.searchsorted(edges, radii)),
@@ -498,10 +493,8 @@ def _proposal(
         rate=b + kappa,
         kappa=kappa,
         log_ratio=math.log(b / (b + kappa)),
-        log_lo=log_lo,
-        log_hi=log_hi,
-        flat_lo=flat_lo,
-        flat_span=np.exp(2.0 * log_hi) - flat_lo,
+        log_lo=np.r_[-math.inf, np.log(inner[1:] / mid[1:])],
+        log_hi=np.log(outer / mid),
         scale=TWO_PI * density * mid**2,
         target_mass=density * math.pi * width2,
         slope=slope,
@@ -555,11 +548,11 @@ def _near_field(
     table: _Proposal,
     d: np.ndarray,
     rng: np.random.Generator,
-    scratch: _Scratch | None = None,
+    scratch: _Scratch,
 ):
     """(near, log_weight) of interferers drawn from the proposal around relays
     at distances d, one row per radius. The points' uniforms are drawn into
-    scratch, a fresh buffer if none is given.
+    scratch.
 
     Counts and sums live on a (ring, trial) grid in ring-major order, so a
     radius's rows sum its first rings, and each ring's points lie next to
@@ -587,14 +580,15 @@ def _near_field(
     log_w += mass
     log_w -= table.target_mass[:, None]
     # t^power of each point, in the run's buffer: on the flat rings power is
-    # 2, so lo and span are the ring's own; on the shaped rings, the cell's
-    q = rng.random(out=(scratch or _Scratch()).take(int(cells.sum())))
+    # 2, so every cell of the ring has the same lo and span; on the shaped
+    # rings, each cell its own
+    q = rng.random(out=scratch.take(int(cells.sum())))
     bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
     rings = table.shaped
     for k in (0, *range(rings.stop, len(counts))):
         ring = q[bounds[k] : bounds[k + 1]]
-        ring *= table.flat_span[k]
-        ring += table.flat_lo[k]
+        ring *= span[k, 0]
+        ring += lo[k, 0]
     ratio = gamma[rings] / power[rings]
     cell = np.repeat(np.arange(ratio.size), counts[rings].ravel())
     shaped = q[bounds[rings.start] : bounds[rings.stop]]
@@ -702,11 +696,11 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
 
     progress is each trial's weighted progress, weight*progress of Trials,
     in trial order. The estimator is p*lambda times its sample mean. Trial
-    i drew its relay in stratum i mod STRATA, so the standard error comes
-    from the means of consecutive blocks of STRATA trials, which are
-    independent: progress must hold whole blocks, at least two. The
-    reductions use numpy's pairwise summation over the trial-ordered
-    array, so they are reproducible bit-for-bit. Raises EmptyEstimateError
+    i drew its relay in stratum i mod STRATA, so the standard error is the
+    stratified one, from each stratum's variance over its trials, one per
+    block of STRATA: progress must hold whole blocks, at least two. The
+    reductions run in a fixed order over the trial-ordered array, so they
+    are reproducible bit-for-bit. Raises EmptyEstimateError
     when every trial's weighted progress is exactly 0 (it underflows):
     such a run carries no estimate.
     """
@@ -723,15 +717,18 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
             "these parameters), so the run estimates nothing"
         )
     scale = params.p * params.lam
-    block_means = np.mean(np.reshape(progress, (blocks, STRATA)), axis=1)
-    # np.std squares the values, which underflow below about 1e-154: divide by
-    # a power of two near the largest first. Scaling by a power of two is
-    # exact, so wherever nothing underflowed the result keeps its bits.
-    exponent = math.frexp(float(np.max(np.abs(block_means))))[1]
-    spread = math.ldexp(float(np.std(np.ldexp(block_means, -exponent), ddof=1)), exponent)
+    # column h holds stratum h's trials, one per block, which are independent
+    # draws of one law: the mean's variance is the mean of the strata's own
+    # variances over n. np.var squares the values, which underflow below
+    # about 1e-154: divide by a power of two near the largest first. Scaling
+    # by a power of two is exact, so wherever nothing underflowed the result
+    # keeps its bits.
+    exponent = math.frexp(float(np.max(np.abs(progress))))[1]
+    strata = np.ldexp(np.reshape(progress, (blocks, STRATA)), -exponent)
+    spread = math.ldexp(math.sqrt(float(np.mean(np.var(strata, axis=0, ddof=1)))), exponent)
     return ProgressEstimate(
         mean=scale * float(np.mean(progress)),
-        std_error=scale * spread / math.sqrt(blocks),
+        std_error=scale * spread / math.sqrt(n),
         trials_used=n,
     )
 

@@ -391,16 +391,17 @@ def test_interferer_on_the_relay_gives_zero_progress(monkeypatch):
 
 
 def test_summarize_trials_exact_scaling():
-    # three blocks of STRATA trials with means 1, 2 and 3, each spread about
-    # its mean by half-integer offsets, which sum exactly: the standard error
-    # is the spread of the block means, not of the trials
+    # three blocks of STRATA trials: stratum h holds c_h - 1, c_h and c_h + 1,
+    # with the c_h spread about 2 by half-integer offsets, which sum exactly.
+    # The standard error is the spread within the strata, 1/sqrt(n), not the
+    # spread of the trials nor that of the block means 1, 2 and 3
     params = _with(BASE, lam=2.0, p=0.2)
     offsets = np.arange(simulate.STRATA) - 0.5 * (simulate.STRATA - 1)
-    progress = np.concatenate([mean + offsets for mean in (1.0, 2.0, 3.0)])
+    progress = np.concatenate([2.0 + offsets + step for step in (-1.0, 0.0, 1.0)])
     est = simulate.summarize_trials(progress, params)
     scale = 0.2 * 2.0
     assert est.mean == scale * 2.0
-    assert est.std_error == pytest.approx(scale * 1.0 / math.sqrt(3.0), rel=1e-15)
+    assert est.std_error == pytest.approx(scale / math.sqrt(3 * simulate.STRATA), rel=1e-15)
     assert est.trials_used == 3 * simulate.STRATA
 
 
@@ -639,6 +640,25 @@ def test_estimates_are_calibrated(variant):
     assert stats.kstest(zs, "norm").pvalue > 0.01
 
 
+def test_smallest_runs_cover_at_the_nominal_rate():
+    # the smallest run validate_for_estimation accepts, 100 trials (112, seven
+    # blocks), at the joint optimum for phi = pi/2: its ci95, the mean +- 1.96
+    # standard errors, must cover the closed form about 95 % of the time. The
+    # spread within the strata keeps up to STRATA*(blocks - 1) degrees of
+    # freedom and covers 94.5 % here; the spread of the seven block means
+    # kept 6 and covered 90.7 %
+    covered = 0
+    for variant in ProtocolVariant:
+        best = optimize.optimize_joint(BASE, variant)
+        params = _with(BASE, p=best.p_star, r_m=best.rm_star)
+        target = analytic.expected_density_closed(params, variant)
+        for seed in range(1000):
+            sim = simulate.SimConfig.for_params(params, trials=100, seed=seed)
+            est = simulate.estimate_density_of_progress(params, sim, variant)
+            covered += abs(est.mean - target) <= 1.96 * est.std_error
+    assert covered / 2000 >= 0.93
+
+
 def _log_weight_second_moment(params, table, d):
     """log E[w^2] of the near field's likelihood ratio around a relay at d.
 
@@ -679,8 +699,7 @@ def test_near_field_weights_average_to_one(variant):
     rng = np.random.default_rng(4)
     weights = np.concatenate([
         np.exp(simulate._near_field(
-            OPT, table, np.full(simulate.CHUNK, d),
-            rng,
+            OPT, table, np.full(simulate.CHUNK, d), rng, simulate._Scratch(),
         )[1][0])
         for _ in range(160)
     ])
@@ -705,8 +724,7 @@ def test_shaped_rings_reproduce_the_link_law(variant):
             np.exp(log_weight[0] - near[0] - far)
             for near, log_weight in (
                 simulate._near_field(
-                    OPT, table, np.full(simulate.CHUNK, d),
-                    rng,
+                    OPT, table, np.full(simulate.CHUNK, d), rng, simulate._Scratch(),
                 )
                 for _ in range(100)
             )
