@@ -13,8 +13,8 @@ the annular sector out to d makes d^2 - r_m^2 exactly Exp(b), with
 b = (1-p)*lambda*phi/2 (model.relay_rate): the law the closed form
 integrates. The relay's angle is uniform on the sector and independent
 of everything else in the trial, so it is integrated out rather than
-drawn (below). sample_relay_distances keeps the full-disk draw and
-select_relay as the independent check of both laws.
+drawn (below). sample_relay_distances keeps a raw draw of the receivers
+in a disk as the independent check of both laws.
 
 Conditional estimator: a trial records the expected progress given its
 draws, d*c*P_s, instead of a sampled success indicator. Averaging the
@@ -111,12 +111,12 @@ the kernel.
 collect_trials returns the trials as three arrays in trial order, d,
 progress and weight, and summarize_trials reduces weight*progress to the
 estimate; there are no per-trial SIR diagnostics.
-simulate_link_success keeps the raw SIR indicator (interferer positions,
-beam headings, sector coverage and fading all sampled) as the
-independent check of the thinning and fading laws, batched in chunks on
-its own stream. Its fading is drawn through the inverse exponential
-CDF, which makes that SIR exactly invariant under changes of the fading
-rate mu; the trial kernel does not depend on mu.
+sample_link_sir keeps the raw SIR (interferer positions, beam headings,
+sector coverage and fading all sampled) as the independent check of the
+thinning and fading laws; callers form the indicator SIR > beta. At the
+relays of sample_relay_distances its links make a raw draw of the whole
+network, which the tests compare with the kernel. Neither it nor the
+trial kernel depends on mu.
 """
 
 from __future__ import annotations
@@ -287,68 +287,6 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     """SFC64 generator of one run's draws for one purpose, seeded by
     SeedSequence((seed, tag)); callers draw from it chunk after chunk."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((int(seed), tag))))
-
-
-def sample_ppp(density: float, window_radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson sample in a disk: Poisson count, uniform positions.
-
-    Returns an (n, 2) array of Cartesian coordinates.
-    """
-    if density < 0:
-        raise DomainError(f"density must be >= 0, got {density}")
-    if window_radius <= 0:
-        raise DomainError(f"window_radius must be > 0, got {window_radius}")
-    n = int(rng.poisson(density * math.pi * window_radius**2))
-    radii = window_radius * np.sqrt(rng.random(n))
-    angles = TWO_PI * rng.random(n)
-    return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-
-
-def _wrap_angle(x: np.ndarray | float):
-    """Wrap to [-pi, pi)."""
-    return (x + math.pi) % TWO_PI - math.pi
-
-
-def sector_covers(
-    tx_positions: np.ndarray,
-    tx_orientations: np.ndarray,
-    target: np.ndarray,
-    phi: float,
-) -> np.ndarray:
-    """Mask of transmitters whose beam sector contains the target point."""
-    delta = np.asarray(target, dtype=float) - tx_positions
-    angles = np.arctan2(delta[:, 1], delta[:, 0])
-    return np.abs(_wrap_angle(angles - tx_orientations)) <= phi / 2.0
-
-
-def select_relay(
-    receivers: np.ndarray,
-    phi: float,
-    r_m: float,
-) -> np.ndarray | None:
-    """Nearest receiver inside the selection region, or None.
-
-    The transmitter is the Palm point at the origin with heading 0, so the
-    region is the sector of half-angle phi/2 around the +x axis, restricted
-    to distances strictly greater than r_m. The angular edge is inclusive,
-    the distance edge exclusive.
-    """
-    rx = np.asarray(receivers, dtype=float)
-    if rx.size == 0:
-        return None
-    dist = np.hypot(rx[:, 0], rx[:, 1])
-    offset = np.arctan2(rx[:, 1], rx[:, 0])
-    eligible = (np.abs(offset) <= phi / 2.0) & (dist > r_m)
-    if not eligible.any():
-        return None
-    idx = int(np.argmin(np.where(eligible, dist, np.inf)))
-    return rx[idx]
-
-
-def _exponential(rng: np.random.Generator, mu: float, size: int | None = None):
-    """Exp(mu) via the inverse CDF, so draws scale exactly as 1/mu."""
-    u = rng.random(size)
-    return -np.log1p(-u) / mu
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -789,7 +727,7 @@ def guard_sensitivity(
 
 
 # =====================================================================
-# targeted validation helpers
+# raw network draws: the independent checks of the kernel's laws
 # =====================================================================
 
 def sample_relay_distances(
@@ -801,92 +739,83 @@ def sample_relay_distances(
     """(distances, angles) of the relays over independent draws, NaN where
     no relay exists; an angle is measured from the transmitter's heading.
 
-    Geometry only - no interference - so it is cheap enough for
-    distribution tests against the relay-distance CDF and the uniform angle
-    on the sector. Receivers fill the whole window and select_relay picks
-    the relay, independently of the trial kernel's draw from the relay law
-    and its integral over the angle.
+    Each trial fills the disk of radius window_radius with receivers and
+    takes the nearest one in the sector |angle| <= phi/2 strictly beyond
+    r_m: geometry only, independent of the trial kernel's draw from the
+    relay law and its integral over the angle. Chunks of CHUNK trials draw
+    in order from the run's own stream: the counts, then one call for every
+    receiver's radius and angle.
     """
-    distances = np.full(trials, math.nan)
-    angles = np.full(trials, math.nan)
+    if not window_radius > 0.0:
+        raise DomainError(f"window_radius must be > 0, got {window_radius}")
+    mean_count = (1.0 - params.p) * params.lam * math.pi * window_radius**2
     rng = _stream(seed, _TAG_SAMPLE)
-    for i in range(trials):
-        receivers = sample_ppp((1.0 - params.p) * params.lam, window_radius, rng)
-        relay = select_relay(receivers, params.phi, params.r_m)
-        if relay is not None:
-            distances[i] = np.hypot(*relay)
-            angles[i] = math.atan2(relay[1], relay[0])
-    return distances, angles
+    size = CHUNK * math.ceil(trials / CHUNK)
+    distances = np.full(size, math.nan)
+    angles = np.full(size, math.nan)
+    for start in range(0, size, CHUNK):
+        counts = rng.poisson(mean_count, CHUNK)
+        u = rng.random((2, int(counts.sum())))
+        radius = window_radius * np.sqrt(u[0])
+        angle = TWO_PI * u[1] - math.pi
+        eligible = (np.abs(angle) <= 0.5 * params.phi) & (radius > params.r_m)
+        trial = np.repeat(np.arange(start, start + CHUNK), counts)[eligible]
+        radius, angle = radius[eligible], angle[eligible]
+        # sorted by trial, then distance: each trial's first point is its relay
+        order = np.lexsort((radius, trial))
+        held, first = np.unique(trial[order], return_index=True)
+        distances[held] = radius[order][first]
+        angles[held] = angle[order][first]
+    return distances[:trials], angles[:trials]
 
 
-def link_sir(
-    d: float,
-    offsets: np.ndarray,
-    headings: np.ndarray,
-    counts: np.ndarray,
+def sample_link_sir(
     params: NetworkParams,
-    rng: np.random.Generator,
-    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> np.ndarray:
-    """SIR of a fixed-length link in each trial of a chunk.
-
-    The receiver sits at the origin with its serving transmitter d away,
-    aimed at it. offsets holds the interferer positions of every trial, in
-    trial order, counts[i] of them for trial i, and headings their beam
-    headings. Interference sums faded power over the interferers whose
-    sector covers the receiver (all of them for the omnidirectional
-    variant). Fading is drawn from rng: one Exp(mu) per trial for the
-    signal, then one per interferer. A trial without interference gets
-    SIR = +inf. An interferer on the receiver is infinite interference, so
-    a trial whose sector covers it gets SIR = 0. Raises DomainError unless
-    d > 0.
-    """
-    if not d > 0.0:
-        raise DomainError(f"link distance must be > 0, got {d}")
-    offsets = np.asarray(offsets, dtype=float).reshape(-1, 2)
-    dists = np.hypot(offsets[:, 0], offsets[:, 1])
-    signal = _exponential(rng, params.mu, len(counts)) * d**-params.alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = _exponential(rng, params.mu, len(dists)) * dists**-params.alpha
-    power[dists == 0.0] = math.inf
-    if variant is ProtocolVariant.DIRECTIONAL:
-        power[~sector_covers(offsets, headings, (0.0, 0.0), params.phi)] = 0.0
-    interference = _segment_sums(power, counts)
-    return np.divide(
-        signal, interference, out=np.full(len(counts), math.inf), where=interference > 0.0
-    )
-
-
-def simulate_link_success(
-    params: NetworkParams,
-    d: float,
-    trials: int,
+    d: np.ndarray,
     seed: int,
     interference_radius: float,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> tuple[float, float]:
-    """Empirical success probability of a fixed-length link.
+) -> np.ndarray:
+    """Raw SIR of fixed-length links, one trial per entry of the array d.
 
-    The receiver sits at the origin with its serving transmitter d away and
-    aimed at it; interferers are a fresh Poisson draw per trial inside
-    interference_radius around the receiver, with uniform beam headings.
-    Trials run in chunks of CHUNK, drawn in order from the run's link
-    stream (counts, then radius, angle and heading uniforms in one call,
-    then link_sir's fading).
-    Returns (estimate, std_error); link_sir rejects d <= 0.
+    The receiver sits at the origin with its serving transmitter d away,
+    aimed at it. Each trial draws fresh interferers of density p*lambda,
+    uniform in the disk of radius interference_radius around the receiver,
+    with uniform beam headings; those whose sector covers the receiver (its
+    bearing against the heading; all of them for the omnidirectional
+    variant) add their faded power. Fading is Exp(1) by the inverse CDF: the
+    SIR does not depend on mu. No covering interferer gives SIR = inf, a
+    covering one on the receiver SIR = 0. Chunks of CHUNK trials draw in
+    order from the link stream: the counts, then one call for every
+    interferer's radius, angle, heading and fading and every signal's
+    fading. Raises DomainError unless every d > 0 and interference_radius > 0.
     """
-    if interference_radius <= 0:
+    d = np.asarray(d, dtype=float)
+    if not np.all(d > 0.0):
+        raise DomainError("every link distance must be > 0 (and not NaN)")
+    if not interference_radius > 0.0:
         raise DomainError(f"interference_radius must be > 0, got {interference_radius}")
     mean_count = params.p * params.lam * math.pi * interference_radius**2
     rng = _stream(seed, _TAG_LINK)
-    successes = 0
-    for chunk in range(math.ceil(trials / CHUNK)):
+    sir = np.empty(len(d))
+    for start in range(0, len(d), CHUNK):
         counts = rng.poisson(mean_count, CHUNK)
-        u = rng.random((int(counts.sum()), 3))
-        radius = interference_radius * np.sqrt(u[:, 0])
-        angle = TWO_PI * u[:, 1]
-        offsets = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
-        sir = link_sir(d, offsets, TWO_PI * u[:, 2], counts, params, rng, variant)
-        successes += int(np.count_nonzero(sir[: trials - chunk * CHUNK] > params.beta))
-    p_hat = successes / trials
-    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / trials)
+        n = int(counts.sum())
+        u = rng.random(4 * n + CHUNK)
+        radius, angle, heading, fading = u[: 4 * n].reshape(4, n)
+        radius = interference_radius * np.sqrt(radius)
+        with np.errstate(divide="ignore"):
+            power = -np.log1p(-fading) * radius**-params.alpha
+        if variant is ProtocolVariant.DIRECTIONAL:
+            # an interferer at polar angle 2*pi*angle sees the receiver at that
+            # angle + pi; against its heading the bearing lies in (-pi, 3*pi),
+            # where the nearer of 0 and 2*pi is the sector's axis
+            offset = TWO_PI * (angle - heading) + math.pi
+            power[np.minimum(np.abs(offset), np.abs(offset - TWO_PI)) > 0.5 * params.phi] = 0.0
+        links = d[start : start + CHUNK]
+        signal = -np.log1p(-u[4 * n :][: len(links)]) * links**-params.alpha
+        interference = _segment_sums(power, counts)[: len(links)]
+        sir[start : start + CHUNK] = np.divide(
+            signal, interference, out=np.full(len(links), math.inf), where=interference > 0.0
+        )
+    return sir

@@ -199,9 +199,10 @@ def test_criterion_7_simulation_reproduces_the_closed_form():
     # link outages at three distances, 2% relative
     worst_link = 0.0
     for i, d in enumerate([0.1, 0.2, 0.3]):
-        p_hat, _ = simulate.simulate_link_success(
-            BASE, d, trials=20_000, seed=60 + i, interference_radius=9.0
+        sir = simulate.sample_link_sir(
+            BASE, np.full(20_000, d), seed=60 + i, interference_radius=9.0
         )
+        p_hat = np.mean(sir > BASE.beta)
         ref = analytic.success_probability(BASE, d)
         worst_link = max(worst_link, abs(p_hat - ref) / ref)
     assert worst_link < 0.02
