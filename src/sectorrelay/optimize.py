@@ -47,6 +47,14 @@ from .model import (
 #: smallest rtol scipy's brentq accepts).
 U_RTOL = 4.0 * sys.float_info.epsilon
 
+#: Largest relative error that rounding p* to a double may leave in 1 - p*.
+#: As t -> 0, p* -> 1: the solver forms 1 - p* without cancellation, but the
+#: result's r_m*, objective and residuals see 1 - fl(p*). Over beta from
+#: -300 to -110 dB (alpha 2.001 to 10, both variants, phi = pi/2) a 0.1 %
+#: step in p* or r_m* beat the reported optimum where that error passed
+#: 1.2e-3, and nowhere it stayed below 8.3e-4.
+P_ROUNDING_RTOL = 1e-3
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -187,13 +195,14 @@ def _ascent_root(slope: Callable[[float], float]) -> tuple[float, int, bool]:
     return u, len(probes) + iterations, converged
 
 
-def _stationary_point(t: float) -> tuple[float, float, int, bool]:
-    """(p*, u*, iterations, converged) at interference constant t."""
+def _stationary_point(t: float) -> tuple[float, float, float, int, bool]:
+    """(p*, 1 - p*, u*, iterations, converged) at interference constant t,
+    with 1 - p* formed without cancellation."""
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"stationarity system requires finite t > 0, got t={t:.6g}")
     tau = t / math.pi
     u, iterations, converged = _ascent_root(lambda x: _ridge_slope(x, tau))
-    return _split_p(u, tau)[0], u, iterations, converged
+    return (*_split_p(u, tau), u, iterations, converged)
 
 
 def solve_stationary_system(t: float) -> tuple[float, float]:
@@ -204,7 +213,7 @@ def solve_stationary_system(t: float) -> tuple[float, float]:
     beamwidth does not enter. Raises RootFindError when no bracket turns
     up or Brent's method does not converge in it.
     """
-    p, u, _, converged = _stationary_point(t)
+    p, _, u, _, converged = _stationary_point(t)
     if not converged:
         raise RootFindError(
             f"Brent's method did not converge on the stationary point for t={t:.6g}"
@@ -260,8 +269,17 @@ def optimize_joint(
     """Jointly optimize (p, r_m) for the given variant.
 
     The stationary point at the variant's t_eff, then r_m* = sqrt(u*/k).
-    The starting p and r_m in ``params`` are not used.
+    The starting p and r_m in ``params`` are not used. Raises DomainError,
+    naming alpha and beta, when p* lies so close to 1 that the nearest
+    double misses 1 - p* by more than P_ROUNDING_RTOL relative.
     """
     t_eff = effective_interference_constant(params, variant)
-    p, u, iterations, converged = _stationary_point(t_eff)
+    p, q, u, iterations, converged = _stationary_point(t_eff)
+    if not (q > 0.0 and abs((1.0 - p) - q) <= P_ROUNDING_RTOL * q):
+        raise DomainError(
+            f"alpha = {params.alpha:.6g} and beta = {params.beta:.6g} put the optimal p "
+            f"within rounding of 1: 1 - p* = {q:.6g}, but the nearest double to p* leaves "
+            f"{1.0 - p:.6g}, more than {P_ROUNDING_RTOL:g} relative away, so r_m* and the "
+            "objective cannot be evaluated at p*"
+        )
     return _result(params, variant, t_eff, p, u, iterations, converged, fixed_p=False)

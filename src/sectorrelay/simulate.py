@@ -52,26 +52,34 @@ independent check of the formula.
   in d^2 at kappa*x/sin(x), x = 2*pi/alpha, which is at least kappa for
   every alpha > 2: the proposal's tail never falls below the integrand's,
   so the relay weight cannot outgrow P_s.
-- Interferers: the near field is split into rings, an inner disk out to
-  L/1000, 8 geometric rings out to L/4 and one ring out to L, with every
-  radius guard_sensitivity is given as a further edge. Each ring has a
-  tilt radius r_k, its geometric mid radius (the inner disk's outer
+- Interferers: the near field is split into rings: an inner disk,
+  geometric rings out to L/4 whose edges step by at most RING_RATIO, and
+  two flat rings split at L/2 out to L, with every radius
+  guard_sensitivity is given as a further edge. The geometric rings start
+  at r_b/8, never below L/1000, where r_b = (beta*D^alpha)^(1/alpha) and
+  D^2 = r_m^2 + 1/(b + kappa) is a typical relay's: the link's survival
+  curve h(r) = 1/(1 + s*r^-alpha) bends at r_b (h = 1/2), so the rings
+  follow the bend as beta moves it, and a run with one radius has at most
+  16 rings (11-12 at the paper's default, 16 as beta -> 0). Each ring has
+  a tilt radius r_k, its geometric mid radius (the inner disk's outer
   edge), and h_k = 1/(1 + s*r_k^-alpha), the link's survival past one
   interferer there. A geometric ring is shaped: it draws at density
   rho*h_k*(r/r_k)^gamma_k, gamma_k = alpha*(1 - h_k), which follows the
-  survival curve h(r) = 1/(1 + s*r^-alpha) in log-log space about r_k (h
-  changes by up to 8x across a ring at alpha = 3, which one flat tilt
-  per ring misses). Its mass is the power integral
+  survival curve in log-log space about r_k (s*r^-alpha changes by up to
+  3.7x across a ring at alpha = 3, which one flat tilt per ring misses).
+  Its mass is the power integral
       M_k = 2*pi*rho*r_k^2*h_k*(hi^(gamma_k+2) - lo^(gamma_k+2))/(gamma_k+2),
   lo and hi its edges over r_k, and a point's t = r/r_k is drawn by the
   inverse CDF, t^(gamma_k+2) uniform between lo^(gamma_k+2) and
-  hi^(gamma_k+2). The inner disk and the rings beyond L/4 keep
-  gamma_k = 0 (density rho*h_k, squared radii uniform): beyond L/4 h is
-  close to 1, the inner disk rarely holds a point, and a flat inner disk
-  keeps every ring's weight second moment finite. Ring k's N_k points
-  add M_k - rho*A_k - N_k*log(h_k) - gamma_k*sum(log t) to the log
-  weight, computed per (ring, trial) cell, and each point still
-  contributes its own log1p(x_i) to -log P_s.
+  hi^(gamma_k+2); r_k is the geometric mid radius, so lo = 1/hi and one
+  exp gives both. The inner disk and the rings beyond L/4 keep
+  gamma_k = 0 (density rho*h_k, so mass rho*h_k*A_k, squared radii
+  uniform): beyond L/4 h is close to 1 at the default, the inner disk
+  rarely holds a point, and a flat inner disk keeps every ring's weight
+  second moment finite. Ring k's N_k points add
+  M_k - rho*A_k - N_k*log(h_k) - gamma_k*sum(log t) to the log weight,
+  computed per (ring, trial) cell, and each point still contributes its
+  own log1p(x_i) to -log P_s.
 The weights alone are heavy-tailed (a rare point next to the relay
 weighs 1/h_k); only their product with P_s is tamed, so a weight
 averages to 1 but its own sample variance says little.
@@ -84,9 +92,10 @@ differ: the estimate is still the mean over all trials, and its variance
 is that of stratified sampling, the mean of the strata's own variances
 over n. A run draws whole blocks, rounding the trial count up to a
 multiple of STRATA, so each stratum holds one trial per block, and the
-standard error keeps up to STRATA*(blocks - 1) degrees of freedom (992
-at 1000 trials, which round up to 1008), as unequal strata variances
-allow. The spread of the block means would keep only blocks - 1 (62).
+standard error keeps up to STRATA*(blocks - 1) degrees of freedom (960
+at 1000 trials, which round up to 1024, 16 blocks), as unequal strata
+variances allow. The spread of the block means would keep only
+blocks - 1 (15).
 
 Batches and randomness: trials run in chunks of CHUNK = 256; the
 proposal's table (ring edges, areas, b, kappa) is built once per run. A
@@ -151,21 +160,24 @@ CHUNK = 256
 #: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
 #: and the standard error is taken from the spread within each stratum, over
 #: consecutive blocks of STRATA trials. CHUNK is a multiple of it, so every
-#: chunk holds whole blocks. With the shaped ring tilts the relay distance
-#: carries most of the per-trial variance, and its share falls about as
-#: 1/STRATA^2: at the default joint optima 16 strata give a per-trial
-#: n*RSE^2 of 0.005-0.009, 4 gave 0.020-0.026.
-STRATA = 16
+#: chunk holds whole blocks, and a run of 1000 trials (1024) or 200 (256)
+#: uses every trial its chunks compute. The relay-only part of the
+#: per-trial variance falls about as 1/STRATA^2: 16 strata left about
+#: 0.002 of it at the default joint optima, 25-40 % of the total with the
+#: rings placed about the bend; 64 leave about a sixteenth of that.
+STRATA = 64
 
-#: Near-field rings, as fractions of the near-field radius L: an inner disk
-#: out to RING_INNER*L, RING_COUNT geometric rings out to RING_OUTER*L,
-#: whose tilts are shaped to the link's survival curve, and one outer ring
-#: out to L. With the shape, 8 rings cut the variance about as far as 24
-#: flat ones; 10 or 12 cut it a little further, at a kernel cost that takes
-#: the gain back.
+#: Near-field rings: geometric rings, whose tilts are shaped to the link's
+#: survival curve, from an eighth of its bend (never below RING_INNER*L,
+#: L the near-field radius) out to RING_OUTER*L, each edge at most
+#: RING_RATIO times the last, then two flat rings out to L/2 and L. At
+#: the default joint optima rings at fixed fractions of L (8 shaped from
+#: L/1000, one flat) left a per-trial n*RSE^2 of 0.005-0.009 with 16 relay
+#: strata; these, with 64 strata, leave 0.0007-0.0023 for a kernel about
+#: 5-10 % slower. Four flat rings cut it further but did not calibrate.
 RING_INNER = 1e-3
 RING_OUTER = 0.25
-RING_COUNT = 8
+RING_RATIO = 1.55
 
 #: CSV column order and schema version of per-trial streams.
 TRIAL_COLUMNS = ("trial", "d", "progress", "weight")
@@ -246,11 +258,12 @@ class _Proposal(NamedTuple):
 
     The relay's E = d^2 - r_m^2 is drawn at rate = b + kappa, and
     log_ratio = log(b/rate). Ring k has tilt radius r_k, with
-    mid_power[k] = r_k^-alpha, and spans radii r_k*exp(log_lo[k]) to
-    r_k*exp(log_hi[k]); scale[k] = 2*pi*density*r_k^2, and target_mass[k]
-    is density times its area, the ring's mean count without a tilt. The
-    rings in the slice shaped have tilts that follow the link's survival
-    curve, with slope[k] = alpha; the others are flat, slope[k] = 0.
+    mid_power[k] = r_k^-alpha, and target_mass[k] is density times its
+    area, the ring's mean count without a tilt. The rings in the slice
+    shaped have tilts that follow the link's survival curve; each spans
+    radii r_k*exp(-log_hi[k]) to r_k*exp(log_hi[k]), and
+    scale[k] = 2*pi*density*r_k^2. The others are flat, and their squared
+    radii over r_k^2 run from square_lo[k] to square_lo[k] + square_span[k].
     radii[j] holds the first ends[j] rings.
     """
 
@@ -261,13 +274,13 @@ class _Proposal(NamedTuple):
     rate: float
     kappa: float
     log_ratio: float
-    log_lo: np.ndarray
+    mid_power: np.ndarray
+    target_mass: np.ndarray
+    shaped: slice
     log_hi: np.ndarray
     scale: np.ndarray
-    target_mass: np.ndarray
-    slope: np.ndarray
-    shaped: slice
-    mid_power: np.ndarray
+    square_lo: np.ndarray
+    square_span: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -365,35 +378,25 @@ def _proposal(
 ) -> _Proposal:
     """The run's proposal table, built once per run.
 
-    Rings: the inner disk out to RING_INNER*L, RING_COUNT geometric rings
-    out to RING_OUTER*L and one outer ring out to L, the widest radius;
-    every radius is also an edge, so that each radius owns whole rings and
-    exact weights. A ring's tilt radius is its geometric mid radius, the
-    inner disk's its outer edge. The rings past the inner disk and within
-    RING_OUTER*L are shaped; they lie next to each other, so their points
-    do too in the kernel's ring-major order.
+    Rings: the inner disk, geometric rings out to RING_OUTER*L at a ratio of
+    at most RING_RATIO, and two flat rings split at L/2, out to L, the
+    widest radius; every radius is also an edge, so that each radius owns
+    whole rings and exact weights. The geometric rings start at an eighth of
+    the bend r_b = (beta*D^alpha)^(1/alpha), D^2 = r_m^2 + 1/(b + kappa), of
+    a typical link's survival curve, and never below RING_INNER*L. A ring's
+    tilt radius is its geometric mid radius, the inner disk's its outer
+    edge. The geometric rings are shaped; they lie next to each other, so
+    their points do too in the kernel's ring-major order.
 
     Every constant is checked here: a parameter that puts one outside the
-    range of a double raises DomainError naming it, before any draw.
+    range of a double raises DomainError naming it, before any draw and
+    before the layout is chosen.
     """
     widest = max(radii)
-    # np.geomspace costs more than the rest of the table
-    steps = np.arange(RING_COUNT + 1) / RING_COUNT
-    geometric = RING_INNER * widest * (RING_OUTER / RING_INNER) ** steps
-    edges = np.array(sorted({0.0, *geometric.tolist(), *radii}))
-    inner, outer = edges[:-1], edges[1:]
-    mid = np.sqrt(inner * outer)
-    mid[0] = outer[0]
     density = interferer_density(params, variant)
     b = relay_rate(params)
     kappa = density * params.beta ** (2.0 / params.alpha) * math.pi
     r_m2 = params.r_m * params.r_m
-    mid_power = mid**-params.alpha
-    width2 = (outer - inner) * (outer + inner)
-    # the shaped rings lie past the inner disk and within the geometric rings
-    shaped = slice(1, int(np.searchsorted(outer, geometric[-1], side="right")))
-    slope = np.zeros(len(mid))
-    slope[shaped] = params.alpha
     if not math.isfinite(r_m2):
         raise DomainError(
             f"r_m = {params.r_m:.6g} is out of the simulator's range: r_m^2 overflows a double"
@@ -404,11 +407,14 @@ def _proposal(
             f"the relay rate b = {b:.6g} or the tilt rate kappa = {kappa:.6g} out of the "
             "simulator's range: both must be finite doubles, b > 0"
         )
-    if not np.all(np.isfinite(mid_power) & np.isfinite(1.0 / mid_power)):
-        if params.alpha * math.log(mid[-1] / mid[0]) > 2.0 * math.log(sys.float_info.max):
+    # every tilt radius lies between these two, whatever the bend
+    reach = np.array([min(RING_INNER * widest, *radii), widest])
+    reach_power = reach**-params.alpha
+    if not np.all(np.isfinite(reach_power) & np.isfinite(1.0 / reach_power)):
+        if params.alpha * math.log(reach[1] / reach[0]) > 2.0 * math.log(sys.float_info.max):
             raise DomainError(
                 f"alpha = {params.alpha:.6g} is out of the simulator's range: r^alpha over "
-                f"the near-field rings, which span a factor {mid[-1] / mid[0]:.3g} in "
+                f"the near-field rings, which span a factor {reach[1] / reach[0]:.3g} in "
                 "radius, cannot stay within a double at any scale"
             )
         raise DomainError(
@@ -423,6 +429,19 @@ def _proposal(
             f"relay distance scale {1.0 / math.sqrt(b + kappa):.6g} out of the simulator's "
             "range: beta*d^alpha leaves a double"
         )
+    # the survival curve h(r) = 1/(1 + s*r^-alpha) of a link with s = link
+    # bends at r_b = link^(1/alpha), where h = 1/2
+    outer_shaped = RING_OUTER * widest
+    start = min(max(link ** (1.0 / params.alpha) / 8.0, RING_INNER * widest),
+                outer_shaped / RING_RATIO)
+    count = math.ceil(math.log(outer_shaped / start) / math.log(RING_RATIO))
+    # np.geomspace costs more than the rest of the table
+    geometric = start * (outer_shaped / start) ** (np.arange(count + 1) / count)
+    edges = np.array(sorted({0.0, *geometric.tolist(), 0.5 * widest, *radii}))
+    inner, outer = edges[:-1], edges[1:]
+    mid = np.sqrt(inner * outer)
+    mid[0] = outer[0]
+    square_lo = (inner / mid) ** 2
     return _Proposal(
         radii=radii,
         ends=tuple(int(i) for i in np.searchsorted(edges, radii)),
@@ -431,13 +450,13 @@ def _proposal(
         rate=b + kappa,
         kappa=kappa,
         log_ratio=math.log(b / (b + kappa)),
-        log_lo=np.r_[-math.inf, np.log(inner[1:] / mid[1:])],
+        mid_power=mid**-params.alpha,
+        target_mass=density * math.pi * (outer - inner) * (outer + inner),
+        shaped=slice(1, int(np.searchsorted(outer, geometric[-1], side="right"))),
         log_hi=np.log(outer / mid),
         scale=TWO_PI * density * mid**2,
-        target_mass=density * math.pi * width2,
-        slope=slope,
-        shaped=shaped,
-        mid_power=mid_power,
+        square_lo=square_lo,
+        square_span=(outer / mid) ** 2 - square_lo,
     )
 
 
@@ -499,18 +518,22 @@ def _near_field(
     """
     # ring k draws at density rho*h*(r/r_k)^gamma, with h = 1/(1 + tilt)
     # the link's survival past an interferer at r_k, tilt = s*r_k^-alpha,
-    # and gamma = alpha*(1 - h) its log-log slope there on the shaped rings
-    # (0 elsewhere)
+    # and gamma = alpha*(1 - h) its log-log slope there on the shaped rings;
+    # a flat ring (gamma = 0) holds mass target_mass*h
     tilt = np.multiply.outer(table.mid_power, _link_scale(params, d))
     h = 1.0 / (1.0 + tilt)
-    gamma = tilt * h
-    gamma *= table.slope[:, None]
+    mass = table.target_mass[:, None] * h
+    rings = table.shaped
+    gamma = tilt[rings] * h[rings]
+    gamma *= params.alpha
     power = gamma + 2.0
-    # t = r/r_k has t^power uniform on [lo, lo + span]
-    lo = np.exp(power * table.log_lo[:, None])
-    span = np.exp(power * table.log_hi[:, None])
+    # on a shaped ring t = r/r_k has t^power uniform on [lo, hi], and its
+    # edges sit at t = exp(-+log_hi), so lo = 1/hi
+    hi = np.exp(power * table.log_hi[rings, None])
+    lo = 1.0 / hi
+    span = hi
     span -= lo
-    mass = table.scale[:, None] * h * span / power
+    mass[rings] = table.scale[rings, None] * h[rings] * span / power
     counts = rng.poisson(mass)
     cells = counts.ravel()
     # the cell's log likelihood ratio: M - rho*A - N*log(h) - gamma*sum(log t)
@@ -522,16 +545,15 @@ def _near_field(
     # rings, each cell its own
     q = rng.random(out=scratch.take(int(cells.sum())))
     bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
-    rings = table.shaped
     for k in (0, *range(rings.stop, len(counts))):
         ring = q[bounds[k] : bounds[k + 1]]
-        ring *= span[k, 0]
-        ring += lo[k, 0]
-    ratio = gamma[rings] / power[rings]
+        ring *= table.square_span[k]
+        ring += table.square_lo[k]
+    ratio = gamma / power
     cell = np.repeat(np.arange(ratio.size), counts[rings].ravel())
     shaped = q[bounds[rings.start] : bounds[rings.stop]]
-    shaped *= span[rings].ravel()[cell]
-    shaped += lo[rings].ravel()[cell]
+    shaped *= span.ravel()[cell]
+    shaped += lo.ravel()[cell]
     log_t2 = np.log(q, out=q)
     # on the shaped rings: gamma*log t = ratio*log t^power with ratio =
     # gamma/power, and log t^2 = (1 - ratio)*log t^power

@@ -366,7 +366,7 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     schema, rows = read_table(a / "simulate.csv")
     assert schema == "# schema: sectorrelay.simulate v2"
     row = rows[0]
-    # the run draws whole blocks of STRATA relay strata: 150 rounds up to 160
+    # the run draws whole blocks of STRATA relay strata: 150 rounds up to 192
     drawn = simulate.STRATA * math.ceil(150 / simulate.STRATA)
     assert row["trials_used"] == str(drawn)
     assert abs(float(row["z_score"])) < 4.0
@@ -486,6 +486,19 @@ def test_config_file_layering_with_flag_override(tmp_path):
     assert doc["params"]["phi"] == 1.0  # config beats default
     assert doc["params"]["lambda"] == 1.0  # untouched default
     assert doc["overrides"] == ["p=0.2"]
+
+
+@pytest.mark.parametrize("alpha", ["2.001", "2.5"])
+def test_optimum_within_rounding_of_one_is_an_error_row(tmp_path, alpha):
+    # at beta = -300 dB, p* lies within rounding of 1: at alpha = 2.001 it
+    # rounds to 1.0 (an out-of-range p), at 2.5 the nearest double misses
+    # 1 - p* by 17 %, which wrote an ok row whose optimum a 0.1 % step beat.
+    # Both are error rows that name the cause, with exit 3
+    rc = cli.main(["optimize", "--beta-db", "-300", "--alpha", alpha, "--outdir", str(tmp_path)])
+    assert rc == 3
+    _, rows = read_table(tmp_path / "optimize.csv")
+    assert rows[0]["status"].startswith(f"error: DomainError: alpha = {alpha} and beta = 1e-30 ")
+    assert "within rounding of 1" in rows[0]["status"]
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):
