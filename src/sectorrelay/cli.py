@@ -430,7 +430,7 @@ def run_simulate(params: NetworkParams, settings: dict, outdir: Path):
         # row, and no per-trial table
         row = (math.nan,) * (len(header) - 1) + (_error_status(exc),)
         return [_write_csv(outdir, "simulate", header, [row], SIMULATE_SCHEMA_VERSION)], [], 1
-    z = (est.mean - closed) / est.std_error if est.std_error > 0 else math.nan
+    z = (est.mean - closed) / est.std_error
     row = (
         est.mean,
         est.std_error,

@@ -42,5 +42,6 @@ class RootFindError(OptimizationError):
 
 
 class EmptyEstimateError(RuntimeError):
-    """Every trial of a Monte-Carlo run carried zero weighted progress, so
-    the run estimates nothing (not even a standard error)."""
+    """A Monte-Carlo run's estimate or its standard error is 0: its trials
+    carried no weighted progress, or so little that the mean or the spread
+    underflows, so the run estimates nothing."""

@@ -53,17 +53,18 @@ independent check of the formula.
   every alpha > 2: the proposal's tail never falls below the integrand's,
   so the relay weight cannot outgrow P_s.
 - Interferers: the near field is split into rings: an inner disk,
-  geometric rings out to L/4 whose edges step by at most RING_RATIO, and
-  two flat rings split at L/2 out to L, with every radius
-  guard_sensitivity is given as a further edge. The geometric rings start
-  at r_b/8, never below L/1000, where r_b = (beta*D^alpha)^(1/alpha) and
-  D^2 = r_m^2 + 1/(b + kappa) is a typical relay's: the link's survival
-  curve h(r) = 1/(1 + s*r^-alpha) bends at r_b (h = 1/2), so the rings
-  follow the bend as beta moves it, and a run with one radius has at most
-  16 rings (11-12 at the paper's default, 16 as beta -> 0). Each ring has
-  a tilt radius r_k, its geometric mid radius (the inner disk's outer
-  edge), and h_k = 1/(1 + s*r_k^-alpha), the link's survival past one
-  interferer there. A geometric ring is shaped: it draws at density
+  geometric rings whose edges step by at most RING_RATIO, and at most one
+  flat ring out to L, with every radius guard_sensitivity is given as a
+  further edge. The geometric rings run from r_b/8, never below L/1000,
+  to 8*r_b, never below L/4 nor past L, where r_b = (beta*D^alpha)^(1/alpha)
+  and D^2 = r_m^2 + 1/(b + kappa) is a typical relay's: the link's
+  survival curve h(r) = 1/(1 + s*r^-alpha) bends at r_b (h = 1/2), so the
+  rings follow the bend as beta moves it, also where it lies beyond L/4,
+  and a run with one radius has at most 15 rings (12 at perfbench's
+  points, 15 as beta -> 0). Each ring has a tilt radius r_k, its
+  geometric mid radius (the inner disk's outer edge), and
+  h_k = 1/(1 + s*r_k^-alpha), the link's survival past one interferer
+  there. A geometric ring is shaped: it draws at density
   rho*h_k*(r/r_k)^gamma_k, gamma_k = alpha*(1 - h_k), which follows the
   survival curve in log-log space about r_k (s*r^-alpha changes by up to
   3.7x across a ring at alpha = 3, which one flat tilt per ring misses).
@@ -72,11 +73,11 @@ independent check of the formula.
   lo and hi its edges over r_k, and a point's t = r/r_k is drawn by the
   inverse CDF, t^(gamma_k+2) uniform between lo^(gamma_k+2) and
   hi^(gamma_k+2); r_k is the geometric mid radius, so lo = 1/hi and one
-  exp gives both. The inner disk and the rings beyond L/4 keep
-  gamma_k = 0 (density rho*h_k, so mass rho*h_k*A_k, squared radii
-  uniform): beyond L/4 h is close to 1 at the default, the inner disk
-  rarely holds a point, and a flat inner disk keeps every ring's weight
-  second moment finite. Ring k's N_k points add
+  exp gives both. The inner disk and the flat ring keep gamma_k = 0
+  (density rho*h_k, so mass rho*h_k*A_k, squared radii uniform): beyond
+  8*r_b a typical link's h exceeds 1/(1 + 8^-alpha), over 0.98, the inner
+  disk rarely holds a point, and a flat inner disk keeps every ring's
+  weight second moment finite. Ring k's N_k points add
   M_k - rho*A_k - N_k*log(h_k) - gamma_k*sum(log t) to the log weight,
   computed per (ring, trial) cell, and each point still contributes its
   own log1p(x_i) to -log P_s.
@@ -168,16 +169,22 @@ CHUNK = 256
 STRATA = 64
 
 #: Near-field rings: geometric rings, whose tilts are shaped to the link's
-#: survival curve, from an eighth of its bend (never below RING_INNER*L,
-#: L the near-field radius) out to RING_OUTER*L, each edge at most
-#: RING_RATIO times the last, then two flat rings out to L/2 and L. At
-#: the default joint optima rings at fixed fractions of L (8 shaped from
-#: L/1000, one flat) left a per-trial n*RSE^2 of 0.005-0.009 with 16 relay
-#: strata; these, with 64 strata, leave 0.0007-0.0023 for a kernel about
-#: 5-10 % slower. Four flat rings cut it further but did not calibrate.
+#: survival curve, from its bend over RING_REACH (never below
+#: RING_INNER*L, L the near-field radius) to RING_REACH times its bend
+#: (never below RING_OUTER*L nor past L), each edge at most RING_RATIO
+#: times the last, then at most one flat ring out to L. At the default
+#: joint optima rings at fixed fractions of L (8 shaped from L/1000, one
+#: flat) left a per-trial n*RSE^2 of 0.005-0.009 with 16 relay strata.
+#: Shaped rings that stopped at L/4, then two flat rings split at L/2,
+#: left 0.0007-0.0023 with 64 strata, three quarters of it from the flat
+#: ring out to L/2 at phi = pi/6, and confident wrong estimates where the
+#: bend lies beyond L/4. These leave 0.0005-0.0006, for a kernel about
+#: 10-15 % slower: more of the points take the shaped rings' per-cell
+#: edges and slopes.
 RING_INNER = 1e-3
 RING_OUTER = 0.25
 RING_RATIO = 1.55
+RING_REACH = 8.0
 
 #: CSV column order and schema version of per-trial streams.
 TRIAL_COLUMNS = ("trial", "d", "progress", "weight")
@@ -378,15 +385,17 @@ def _proposal(
 ) -> _Proposal:
     """The run's proposal table, built once per run.
 
-    Rings: the inner disk, geometric rings out to RING_OUTER*L at a ratio of
-    at most RING_RATIO, and two flat rings split at L/2, out to L, the
-    widest radius; every radius is also an edge, so that each radius owns
-    whole rings and exact weights. The geometric rings start at an eighth of
-    the bend r_b = (beta*D^alpha)^(1/alpha), D^2 = r_m^2 + 1/(b + kappa), of
-    a typical link's survival curve, and never below RING_INNER*L. A ring's
-    tilt radius is its geometric mid radius, the inner disk's its outer
-    edge. The geometric rings are shaped; they lie next to each other, so
-    their points do too in the kernel's ring-major order.
+    Rings: the inner disk, geometric rings at a ratio of at most
+    RING_RATIO, and a flat ring out to L, the widest radius, unless the
+    geometric rings reach it; every radius is also an edge, so that each
+    radius owns whole rings and exact weights. The geometric rings run from
+    r_b/RING_REACH, never below RING_INNER*L, to RING_REACH*r_b, never below
+    RING_OUTER*L nor past L, about the bend r_b = (beta*D^alpha)^(1/alpha),
+    D^2 = r_m^2 + 1/(b + kappa), of a typical link's survival curve; their
+    last edge is that end itself. A ring's tilt radius is its geometric mid
+    radius, the inner disk's its outer edge. The geometric rings are
+    shaped; they lie next to each other, so their points do too in the
+    kernel's ring-major order.
 
     Every constant is checked here: a parameter that puts one outside the
     range of a double raises DomainError naming it, before any draw and
@@ -431,13 +440,15 @@ def _proposal(
         )
     # the survival curve h(r) = 1/(1 + s*r^-alpha) of a link with s = link
     # bends at r_b = link^(1/alpha), where h = 1/2
-    outer_shaped = RING_OUTER * widest
-    start = min(max(link ** (1.0 / params.alpha) / 8.0, RING_INNER * widest),
-                outer_shaped / RING_RATIO)
-    count = math.ceil(math.log(outer_shaped / start) / math.log(RING_RATIO))
-    # np.geomspace costs more than the rest of the table
-    geometric = start * (outer_shaped / start) ** (np.arange(count + 1) / count)
-    edges = np.array(sorted({0.0, *geometric.tolist(), 0.5 * widest, *radii}))
+    bend = link ** (1.0 / params.alpha)
+    end = min(widest, max(RING_OUTER * widest, RING_REACH * bend))
+    start = min(max(bend / RING_REACH, RING_INNER * widest), end / RING_RATIO)
+    count = math.ceil(math.log(end / start) / math.log(RING_RATIO))
+    # np.geomspace costs more than the rest of the table; the last edge is
+    # end itself, so rounding leaves no sliver ring beside L or a radius
+    geometric = start * (end / start) ** (np.arange(count + 1) / count)
+    geometric[-1] = end
+    edges = np.array(sorted({0.0, *geometric.tolist(), *radii}))
     inner, outer = edges[:-1], edges[1:]
     mid = np.sqrt(inner * outer)
     mid[0] = outer[0]
@@ -452,7 +463,7 @@ def _proposal(
         log_ratio=math.log(b / (b + kappa)),
         mid_power=mid**-params.alpha,
         target_mass=density * math.pi * (outer - inner) * (outer + inner),
-        shaped=slice(1, int(np.searchsorted(outer, geometric[-1], side="right"))),
+        shaped=slice(1, int(np.searchsorted(outer, end, side="right"))),
         log_hi=np.log(outer / mid),
         scale=TWO_PI * density * mid**2,
         square_lo=square_lo,
@@ -660,9 +671,10 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
     stratified one, from each stratum's variance over its trials, one per
     block of STRATA: progress must hold whole blocks, at least two. The
     reductions run in a fixed order over the trial-ordered array, so they
-    are reproducible bit-for-bit. Raises EmptyEstimateError
-    when every trial's weighted progress is exactly 0 (it underflows):
-    such a run carries no estimate.
+    are reproducible bit-for-bit. Raises EmptyEstimateError when the
+    estimate or its standard error is exactly 0: every trial's weighted
+    progress underflowed, or the few that did not are so small that the
+    mean or the spread underflows. Such a run carries no estimate.
     """
     n = len(progress)
     blocks = n // STRATA
@@ -670,11 +682,6 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
         raise DomainError(
             f"need whole blocks of {STRATA} trials, at least 2, to form a std_error; "
             f"got {n} trials"
-        )
-    if not np.any(progress):
-        raise EmptyEstimateError(
-            f"the weighted progress of all {n} trials is 0 (it underflows at "
-            "these parameters), so the run estimates nothing"
         )
     scale = params.p * params.lam
     # column h holds stratum h's trials, one per block, which are independent
@@ -686,11 +693,18 @@ def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEst
     exponent = math.frexp(float(np.max(np.abs(progress))))[1]
     strata = np.ldexp(np.reshape(progress, (blocks, STRATA)), -exponent)
     spread = math.ldexp(math.sqrt(float(np.mean(np.var(strata, axis=0, ddof=1)))), exponent)
-    return ProgressEstimate(
+    estimate = ProgressEstimate(
         mean=scale * float(np.mean(progress)),
         std_error=scale * spread / math.sqrt(n),
         trials_used=n,
     )
+    if estimate.mean == 0.0 or estimate.std_error == 0.0:
+        raise EmptyEstimateError(
+            f"the estimate {estimate.mean:.3g} or its standard error "
+            f"{estimate.std_error:.3g} is 0: the weighted progress of the {n} trials "
+            "underflows at these parameters, so the run estimates nothing"
+        )
+    return estimate
 
 
 def validate_for_estimation(params: NetworkParams, sim: SimConfig) -> None:

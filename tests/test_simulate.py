@@ -29,6 +29,19 @@ def _with(params, **kw):
     return dataclasses.replace(params, **kw)
 
 
+def _item8_grid():
+    """ROADMAP item 8's grid, in order: (params, variant) over alpha, beta in
+    dB, p, phi, r_m and the variant, at lambda = 1."""
+    for alpha, beta_db, p, phi, r_m, variant in itertools.product(
+        (2.2, 3.0, 5.0), (-10.0, 10.0, 30.0), (0.01, 0.1, 0.5), (0.3, math.pi / 2, 5.0),
+        (0.0, 0.5, 3.0), ProtocolVariant,
+    ):
+        params = NetworkParams(
+            lam=1.0, alpha=alpha, beta=10.0 ** (beta_db / 10.0), p=p, phi=phi, r_m=r_m
+        )
+        yield params, variant
+
+
 # ---------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------
@@ -489,6 +502,16 @@ def test_summarize_trials_refuses_all_zero_progress():
     assert simulate.summarize_trials(tiny, BASE).mean > 0.0
 
 
+def test_summarize_trials_refuses_an_estimate_that_underflows():
+    # one trial of 128 carries the smallest subnormal: its mean and spread
+    # underflow to exactly 0, which must not pass as an estimate of 0 with a
+    # standard error of 0
+    y = np.zeros(2 * simulate.STRATA)
+    y[5] = 5e-324
+    with pytest.raises(EmptyEstimateError):
+        simulate.summarize_trials(y, BASE)
+
+
 def test_validate_for_estimation_names_violations():
     sim = simulate.SimConfig(trials=50, seed=0, guard_radius=5.0)
     with pytest.raises(ParameterError) as err:
@@ -664,7 +687,7 @@ def test_strata_and_the_mean_cosine_cut_the_per_trial_variance(phi, bound, varia
     [
         (math.pi / 6, 10.0, 0.005),
         (math.pi / 2, 10.0, 0.005),
-        (math.pi / 2, 30.0, 0.04),
+        (math.pi / 2, 30.0, 0.0015),
         (math.pi / 2, -20.0, 0.0015),
     ],
     ids=["pi-over-6", "pi-over-2", "30dB", "minus-20dB"],
@@ -674,8 +697,10 @@ def test_rings_about_the_bend_cut_the_per_trial_variance(phi, beta_db, bound, va
     # 10 dB): rings at fixed fractions of L with blocks of 16 relay strata
     # gave n*RSE^2 of 0.0094/0.0080 at pi/6, 0.0052/0.0053 at pi/2,
     # 0.077/0.074 at 30 dB and 0.0022/0.0030 at -20 dB (directional/omni).
-    # At 30 dB the survival curve still bends beyond L/4; at -20 dB its bend
-    # lies far inside the relay distance
+    # At 30 dB the survival curve bends beyond L/4: shaped rings that stop
+    # at L/4 left 0.020/0.021 there, and rings that reach eight times past
+    # the bend leave 0.00045/0.00046 (at most 0.00058 over seeds 3-12). At
+    # -20 dB the bend lies far inside the relay distance
     base = _with(BASE, phi=phi, beta=10.0 ** (beta_db / 10.0))
     best = optimize.optimize_joint(base, variant)
     params = _with(base, p=best.p_star, r_m=best.rm_star)
@@ -685,24 +710,37 @@ def test_rings_about_the_bend_cut_the_per_trial_variance(phi, beta_db, bound, va
 
 
 def test_ring_count_stays_bounded():
-    # the shaped rings start at an eighth of the survival curve's bend, never
-    # below RING_INNER*L, and step by at most RING_RATIO out to L/4: with the
-    # inner disk and the two flat rings, at most 16 rings over ROADMAP item
-    # 8's grid (default near field) and as beta -> 0, where the floor binds
-    # (an eighth of the bend alone would give about 50 at beta = 1e-30)
-    counts = set()
-    for alpha, beta_db, p, phi, r_m, variant in itertools.product(
-        (2.2, 3.0, 5.0), (-10.0, 10.0, 30.0), (0.01, 0.1, 0.5), (0.3, math.pi / 2, 5.0),
-        (0.0, 0.5, 3.0), ProtocolVariant,
-    ):
-        params = NetworkParams(
-            lam=1.0, alpha=alpha, beta=10.0 ** (beta_db / 10.0), p=p, phi=phi, r_m=r_m
-        )
-        counts.add(len(simulate._proposal(params, variant, (40.0,)).mid_power))
-    assert max(counts) <= 16 and min(counts) < max(counts)
+    # the shaped rings run from an eighth of the survival curve's bend, never
+    # below RING_INNER*L, to eight times it, never below L/4 nor past L, and
+    # step by at most RING_RATIO: with the inner disk and at most one flat
+    # ring out to L, at most 15 rings over ROADMAP item 8's grid (default
+    # near field) and exactly 15 as beta -> 0, where the floor binds (13
+    # shaped rings from L/1000 to L/4; an eighth of the bend alone would
+    # give about 50 at beta = 1e-30)
+    counts = {
+        len(simulate._proposal(params, variant, (40.0,)).mid_power)
+        for params, variant in _item8_grid()
+    }
+    assert max(counts) <= 15 and min(counts) < max(counts)
     for beta in (1e-30, 1e-300):
         table = simulate._proposal(_with(OPT, beta=beta), ProtocolVariant.DIRECTIONAL, (40.0,))
-        assert len(table.mid_power) == 16
+        assert len(table.mid_power) == 15
+
+
+def test_shaped_rings_end_exactly_at_their_end():
+    # the last geometric edge is the rings' end itself: the geometric
+    # series' own last edge can miss it by rounding, which left a sliver
+    # ring beside a radius at that end (3 of these 61 near-field radii at
+    # beta = 0.1, where the rings end at L/4). Where 8*r_b passes L (30 dB,
+    # r_m = 3), the shaped rings reach L and no flat ring follows
+    near_bend = _with(OPT, beta=0.1)
+    far_bend = NetworkParams(lam=1.0, alpha=3.0, beta=1000.0, p=0.1, phi=0.3, r_m=3.0)
+    for radius in np.linspace(40.0, 100.0, 61).tolist():
+        alone = simulate._proposal(near_bend, ProtocolVariant.DIRECTIONAL, (radius,))
+        quarter = simulate._proposal(near_bend, ProtocolVariant.DIRECTIONAL, (radius / 4, radius))
+        assert len(quarter.mid_power) == len(alone.mid_power), radius
+        table = simulate._proposal(far_bend, ProtocolVariant.OMNIDIRECTIONAL, (radius,))
+        assert table.shaped.stop == len(table.mid_power), radius
 
 
 @pytest.mark.parametrize(
@@ -756,6 +794,45 @@ def test_smallest_runs_cover_at_the_nominal_rate():
             est = simulate.estimate_density_of_progress(params, sim, variant)
             covered += abs(est.mean - target) <= 1.96 * est.std_error
     assert covered / 2000 >= 0.93
+
+
+@pytest.mark.parametrize(
+    "alpha, p, phi", [(3.0, 0.1, 0.3), (5.0, 0.5, math.pi / 2)], ids=["alpha-3", "alpha-5"]
+)
+def test_bend_beyond_a_quarter_of_the_near_field_is_estimated(alpha, p, phi):
+    # 30 dB and r_m = 3 put the survival curve's bend beyond L/4 (about
+    # 30 at alpha = 3, omni). Shaped rings that stopped at L/4 left it in a
+    # flat ring and wrote confident wrong estimates: at seeds 1-40 only 10
+    # and 7 of 40 runs kept |z| <= 4, with z down to -65 and -413
+    params = NetworkParams(lam=1.0, alpha=alpha, beta=1000.0, p=p, phi=phi, r_m=3.0)
+    variant = ProtocolVariant.OMNIDIRECTIONAL
+    target = analytic.expected_density_closed(params, variant)
+    for seed in range(1, 6):
+        sim = simulate.SimConfig.for_params(params, trials=2000, seed=seed)
+        est = simulate.estimate_density_of_progress(params, sim, variant)
+        assert abs(est.mean - target) <= 4.0 * est.std_error, seed
+
+
+def test_strided_grid_is_estimated_or_refused():
+    # every seventh case of ROADMAP item 8's grid, each under its own seed
+    # (shared draws would correlate the z's and void the KS test): a run
+    # either estimates the closed form within 4 sigma or refuses with
+    # EmptyEstimateError, and the accepted z's look N(0, 1). The offset puts
+    # in a case that rings stopping at L/4 got wrong (alpha = 5, 30 dB,
+    # p = 0.5, phi = 5, r_m = 3, directional: z = -32)
+    grid = list(_item8_grid())
+    zs = []
+    for index in range(1, len(grid), 7):
+        params, variant = grid[index]
+        sim = simulate.SimConfig.for_params(params, trials=2000, seed=1 + 1000 * index)
+        try:
+            est = simulate.estimate_density_of_progress(params, sim, variant)
+        except EmptyEstimateError:
+            continue
+        z = (est.mean - analytic.expected_density_closed(params, variant)) / est.std_error
+        assert abs(z) <= 4.0, (params, variant, z)
+        zs.append(z)
+    assert stats.kstest(zs, "norm").pvalue > 0.01
 
 
 # ---------------------------------------------------------------------
