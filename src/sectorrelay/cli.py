@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, analytic, optimize, simulate
 from .errors import DomainError, ParameterError, VacuousBoundError
-from .model import NetworkParams, ProtocolVariant, parse_config_mapping
+from .model import PARAM_KEYS, NetworkParams, ProtocolVariant, parse_config_mapping
 
 SCHEMA_VERSION = 1
 #: Schema version of simulate.csv.
@@ -62,11 +62,6 @@ PARAM_DEFAULTS = {
 FINE_PHI_GRID = [float(x) for x in np.linspace(math.pi / 12.0, 2.0 * math.pi, 24)]
 COARSE_PHI_GRID = [float(x) for x in np.linspace(math.pi / 6.0, 2.0 * math.pi, 12)]
 
-#: Title of the option group that holds the network-parameter flags.
-PARAMS_GROUP = "network parameters"
-
-SWEEPABLE_KEYS = ("lambda", "alpha", "beta_db", "beta", "mu", "p", "phi", "r_m")
-
 #: Largest relative gap between a sweep row's closed form and its
 #: quadrature twin that still counts as agreement.
 TWIN_RTOL = 1e-7
@@ -78,13 +73,7 @@ TWIN_RTOL = 1e-7
 
 def _fmt(value) -> str:
     """Round-trip-safe cell formatting (17 significant digits)."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def _write_csv(outdir: Path, name: str, header, rows, version: int = SCHEMA_VERSION) -> dict:
@@ -171,17 +160,8 @@ def resolve_params(args, default_p: float | None = None) -> tuple[NetworkParams,
     if getattr(args, "config", None):
         file_map = parse_config_mapping(Path(args.config).read_text(encoding="utf-8"))
         mapping = _overlay(mapping, file_map)
-    flag_map = {
-        "lambda": args.lam,
-        "alpha": args.alpha,
-        "beta_db": args.beta_db,
-        "beta": args.beta_linear,
-        "mu": args.mu,
-        "p": args.p,
-        "phi": args.phi,
-        "r_m": args.r_m,
-    }
-    flags = {key: value for key, value in flag_map.items() if value is not None}
+    given = vars(args)
+    flags = {key: given[key] for key in PARAM_KEYS if given[key] is not None}
     overrides = [f"{k}={v!r}" for k, v in flags.items()]  # repr: shortest exact form
     return NetworkParams.from_mapping(_overlay(mapping, flags)), overrides
 
@@ -195,7 +175,7 @@ def _overlay(mapping: dict, layer: dict) -> dict:
 
 
 def _resolve_outdir(args) -> Path:
-    if getattr(args, "outdir", None):
+    if args.outdir:
         return Path(args.outdir)
     env = os.environ.get(OUTDIR_ENV)
     return Path(env) if env else Path(".")
@@ -468,35 +448,6 @@ HANDLERS = {
 # manifest plumbing
 # =====================================================================
 
-def write_manifest(
-    outdir: Path,
-    command: str,
-    params: NetworkParams,
-    overrides: list[str],
-    settings: dict,
-    started: str,
-    finished: str,
-    outputs: list[dict],
-    notes: list[str],
-) -> Path:
-    doc = {
-        "manifest_version": MANIFEST_VERSION,
-        "command": command,
-        "params": params.to_exact_mapping(),
-        "overrides": overrides,
-        "seed": settings.get("seed", 0),
-        "started": started,
-        "finished": finished,
-        "outdir": str(outdir.resolve()),
-        "outputs": outputs,
-        "settings": settings,
-        "notes": notes,
-    }
-    path = outdir / f"{command}_manifest.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
 def _execute(
     command: str,
     params: NetworkParams,
@@ -506,10 +457,21 @@ def _execute(
 ) -> int:
     started = _now()
     outputs, notes, error_rows = HANDLERS[command](params, settings, outdir)
-    finished = _now()
-    manifest = write_manifest(
-        outdir, command, params, overrides, settings, started, finished, outputs, notes
-    )
+    doc = {
+        "manifest_version": MANIFEST_VERSION,
+        "command": command,
+        "params": params.to_exact_mapping(),
+        "overrides": overrides,
+        "seed": settings.get("seed", 0),
+        "started": started,
+        "finished": _now(),
+        "outdir": str(outdir.resolve()),
+        "outputs": outputs,
+        "settings": settings,
+        "notes": notes,
+    }
+    manifest = outdir / f"{command}_manifest.json"
+    manifest.write_text(json.dumps(doc, indent=2) + "\n")
     written = ", ".join(o["file"] for o in outputs)
     print(f"{command}: wrote {written} and {manifest.name} in {outdir}")
     for note in notes:
@@ -619,15 +581,15 @@ def _shared_options() -> list[argparse.ArgumentParser]:
     """The option groups every command takes: network parameters and run
     control."""
     params_parent = argparse.ArgumentParser(add_help=False)
-    grp = params_parent.add_argument_group(PARAMS_GROUP)
+    grp = params_parent.add_argument_group("network parameters")
     grp.add_argument("--config", metavar="PATH", help="key=value or JSON parameter file")
-    grp.add_argument("--lambda", dest="lam", type=float, default=None,
+    grp.add_argument("--lambda", dest="lambda", type=float, default=None,
                      help="node density (default 1)")
     grp.add_argument("--alpha", type=float, default=None,
                      help="path-loss exponent, must exceed 2 (default 3)")
     grp.add_argument("--beta-db", type=float, default=None,
                      help="SIR threshold in dB (default 10)")
-    grp.add_argument("--beta-linear", type=float, default=None,
+    grp.add_argument("--beta-linear", dest="beta", type=float, default=None,
                      help="SIR threshold on the linear scale (alternative to --beta-db)")
     grp.add_argument("--mu", type=float, default=None,
                      help="fading rate; mean received power 1/mu (default 1)")
@@ -648,15 +610,15 @@ def _shared_options() -> list[argparse.ArgumentParser]:
     return [params_parent, run_parent]
 
 
-def _fig2_options(fig2: argparse.ArgumentParser) -> None:
-    fig2.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
-                      help="beamwidth grid 'start:stop:count' or comma list "
-                      "(default 24 points, pi/12 .. 2*pi)")
+def _fine_phi_grid_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
+                        help="beamwidth grid 'start:stop:count' or comma list "
+                        "(default 24 points, pi/12 .. 2*pi)")
 
 
-def _fig34_options(fig34: argparse.ArgumentParser) -> None:
-    fig34.add_argument("--phi-grid", type=_grid_spec, default=FINE_PHI_GRID,
-                       help="beamwidth grid (default 24 points, pi/12 .. 2*pi)")
+def _variant_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
+                        default=ProtocolVariant.DIRECTIONAL.value)
 
 
 def _fig5_options(fig5: argparse.ArgumentParser) -> None:
@@ -669,7 +631,7 @@ def _fig5_options(fig5: argparse.ArgumentParser) -> None:
 
 
 def _sweep_options(sweep: argparse.ArgumentParser) -> None:
-    sweep.add_argument("--param", required=True, choices=SWEEPABLE_KEYS,
+    sweep.add_argument("--param", required=True, choices=PARAM_KEYS,
                        help="which parameter the grid varies")
     sweep.add_argument("--values", required=True, type=_grid_spec,
                        help="grid 'start:stop:count' or comma list")
@@ -677,15 +639,13 @@ def _sweep_options(sweep: argparse.ArgumentParser) -> None:
                        help="jointly optimize (p, r_m) at every grid point")
     sweep.add_argument("--scaling", action="store_true",
                        help="scaling study: optimize and emit edp/sqrt(lambda)")
-    sweep.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
-                       default=ProtocolVariant.DIRECTIONAL.value)
+    _variant_option(sweep)
 
 
 def _optimize_options(opt: argparse.ArgumentParser) -> None:
     opt.add_argument("--mode", choices=("joint", "rm"), default="joint",
                      help="joint (p, r_m) search or r_m-only at fixed p")
-    opt.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
-                     default=ProtocolVariant.DIRECTIONAL.value)
+    _variant_option(opt)
 
 
 def _simulate_options(simcmd: argparse.ArgumentParser) -> None:
@@ -694,8 +654,7 @@ def _simulate_options(simcmd: argparse.ArgumentParser) -> None:
     simcmd.add_argument("--guard-radius", type=float, default=None,
                         help="explicit near-field radius around the relay "
                         "(default 40/sqrt(lambda))")
-    simcmd.add_argument("--variant", choices=[v.value for v in ProtocolVariant],
-                        default=ProtocolVariant.DIRECTIONAL.value)
+    _variant_option(simcmd)
     simcmd.add_argument("--emit-trials", action="store_true",
                         help="also write the per-trial sample table")
 
@@ -705,12 +664,12 @@ COMMANDS = {
     "fig2": (
         "optimal reference distance vs beamwidth at fixed p, with both "
         "analytic upper-bound variants",
-        _fig2_options,
+        _fine_phi_grid_option,
     ),
     "fig34": (
         "jointly optimal transmission probability and reference distance "
         "vs beamwidth",
-        _fig34_options,
+        _fine_phi_grid_option,
     ),
     "fig5": ("optimized progress density: directional vs omnidirectional", _fig5_options),
     "sweep": (
@@ -741,6 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--outdir",
+        dest="replay_outdir",
+        metavar="OUTDIR",
         default=None,
         help="output directory when replaying a manifest (subcommands take "
         "their own --outdir)",
@@ -753,16 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _setting_options(parser: argparse.ArgumentParser, command: str) -> dict:
     """A command's settings, by key: the options of its subparser, less the
-    network parameters (the manifest records those apart), --outdir and
-    --help."""
+    network parameters and --config (the manifest records the parameters
+    apart), --outdir and --help."""
     subcommands = next(a for a in parser._actions if isinstance(a, _Subcommands))
-    sub = subcommands.parser(command)
-    shared = next(g for g in sub._action_groups if g.title == PARAMS_GROUP)._group_actions
-    return {
-        a.dest: a
-        for a in sub._actions
-        if a not in shared and a.dest not in ("help", "outdir")
-    }
+    skip = (*PARAM_KEYS, "config", "help", "outdir")
+    return {a.dest: a for a in subcommands.parser(command)._actions if a.dest not in skip}
 
 
 def main(argv=None) -> int:
@@ -772,9 +728,11 @@ def main(argv=None) -> int:
         if args.from_manifest:
             if args.command:
                 parser.error("give a subcommand or --from-manifest, not both")
-            return rerun_from_manifest(parser, Path(args.from_manifest), args.outdir)
+            return rerun_from_manifest(parser, Path(args.from_manifest), args.replay_outdir)
         if not args.command:
             parser.error("a subcommand or --from-manifest is required")
+        if args.replay_outdir:
+            parser.error("--outdir goes after the command: sectorrelay COMMAND --outdir PATH")
         params, overrides = resolve_params(
             args, default_p=0.1 if args.command == "fig2" else None
         )
@@ -782,10 +740,7 @@ def main(argv=None) -> int:
         return _execute(
             args.command, params, settings, _resolve_outdir(args), overrides
         )
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ParameterError, DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,9 +31,10 @@ from typing import Mapping
 
 from .errors import DomainError, ParameterError
 
-#: Keys accepted in configuration files. ``beta_db`` carries the SIR
-#: threshold in decibels; it is converted to the linear ``beta`` on load.
-CONFIG_KEYS = ("lambda", "alpha", "beta_db", "mu", "p", "phi", "r_m")
+#: Keys of the network parameters, in configuration files, manifests and
+#: flags. The SIR threshold is ``beta_db`` in decibels or ``beta`` on the
+#: linear scale; ``beta_db`` is converted to the linear ``beta`` on load.
+PARAM_KEYS = ("lambda", "alpha", "beta_db", "beta", "mu", "p", "phi", "r_m")
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,8 +128,7 @@ class NetworkParams:
         Accepts either ``beta_db`` (decibels) or ``beta`` (linear), but not
         both. Unknown keys are rejected by name.
         """
-        allowed = set(CONFIG_KEYS) | {"beta"}
-        unknown = sorted(set(mapping) - allowed)
+        unknown = sorted(set(mapping) - set(PARAM_KEYS))
         if unknown:
             raise ParameterError([f"unknown config key: {k}" for k in unknown])
         if "beta" in mapping and "beta_db" in mapping:

@@ -163,24 +163,19 @@ CHUNK = 256
 #: consecutive blocks of STRATA trials. CHUNK is a multiple of it, so every
 #: chunk holds whole blocks, and a run of 1000 trials (1024) or 200 (256)
 #: uses every trial its chunks compute. The relay-only part of the
-#: per-trial variance falls about as 1/STRATA^2: 16 strata left about
-#: 0.002 of it at the default joint optima, 25-40 % of the total with the
-#: rings placed about the bend; 64 leave about a sixteenth of that.
+#: per-trial variance falls about as 1/STRATA^2; at 64 strata it is about
+#: 0.0001 of the per-trial n*RSE^2 at the default joint optima.
 STRATA = 64
 
 #: Near-field rings: geometric rings, whose tilts are shaped to the link's
 #: survival curve, from its bend over RING_REACH (never below
 #: RING_INNER*L, L the near-field radius) to RING_REACH times its bend
 #: (never below RING_OUTER*L nor past L), each edge at most RING_RATIO
-#: times the last, then at most one flat ring out to L. At the default
-#: joint optima rings at fixed fractions of L (8 shaped from L/1000, one
-#: flat) left a per-trial n*RSE^2 of 0.005-0.009 with 16 relay strata.
-#: Shaped rings that stopped at L/4, then two flat rings split at L/2,
-#: left 0.0007-0.0023 with 64 strata, three quarters of it from the flat
-#: ring out to L/2 at phi = pi/6, and confident wrong estimates where the
-#: bend lies beyond L/4. These leave 0.0005-0.0006, for a kernel about
-#: 10-15 % slower: more of the points take the shaped rings' per-cell
-#: edges and slopes.
+#: times the last, then at most one flat ring out to L. The shaped rings
+#: must reach past the bend: a flat ring that holds it carries most of the
+#: per-trial variance, and where the bend lies beyond L/4 it gives
+#: confident wrong estimates. At the default joint optima these rings
+#: leave a per-trial n*RSE^2 of 0.0005-0.0006.
 RING_INNER = 1e-3
 RING_OUTER = 0.25
 RING_RATIO = 1.55

@@ -105,24 +105,21 @@ _T_LO, _T_HI = -5.0, 3.0
 _LEVELS = 8
 
 
-def _exp_sinh_level(h: float, odd: bool) -> tuple[tuple[float, float], ...]:
-    """(x - lower, dx/dt) at t = j*h in [_T_LO, _T_HI], every j or odd j only."""
+def _exp_sinh_level(h: float, odd: bool) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The offsets x - lower and the weights dx/dt at t = j*h in
+    [_T_LO, _T_HI], every j or odd j only."""
     step = 2 if odd else 1
     nodes = []
     for j in range(round(_T_LO / h) + odd, round(_T_HI / h) + 1, step):
         t = j * h
         x = math.exp(0.5 * math.pi * math.sinh(t))
         nodes.append((x, 0.5 * math.pi * math.cosh(t) * x))
-    return tuple(nodes)
+    return tuple(zip(*nodes))
 
 
-#: Nodes and weights per level; each level after the first holds only the
+#: (offsets, weights) per level; each level after the first holds only the
 #: nodes that halving h adds. The first level's ends are t = _T_LO, _T_HI.
-_NODES = tuple(_exp_sinh_level(0.5 / 2**n, n > 0) for n in range(_LEVELS))
-
-#: The same levels split into (offsets, weights) tuples, the layout the
-#: quadrature loop reads.
-_LEVEL_TABLES = tuple(tuple(zip(*nodes)) for nodes in _NODES)
+_LEVEL_TABLES = tuple(_exp_sinh_level(0.5 / 2**n, n > 0) for n in range(_LEVELS))
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> QuadratureResult:
@@ -138,7 +135,7 @@ def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> Quadra
     x - lower from about 1e-51 to 7e6, with h halved from 1/2 to 1/128,
     each halving evaluating only the new nodes. The nodes' offsets from
     lower and their weights are tabulated once, at import, one pair of
-    tuples per step size (_LEVEL_TABLES, from _NODES). The value is returned
+    tuples per step size (_LEVEL_TABLES). The value is returned
     once two successive step sizes agree to QUAD_RTOL relative; the
     reported abs_error_estimate is their difference.
 

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import sectorrelay
-from sectorrelay import analytic, cli, optimize, simulate
+from sectorrelay import analytic, cli, model, optimize, simulate
+from sectorrelay.errors import ParameterError
 from sectorrelay.model import NetworkParams
 
 P_STAR = 0.1188294545528762
@@ -488,6 +489,39 @@ def test_config_file_layering_with_flag_override(tmp_path):
     assert doc["overrides"] == ["p=0.2"]
 
 
+#: Each parameter key's flag.
+PARAM_FLAGS = {
+    "lambda": "--lambda", "alpha": "--alpha", "beta_db": "--beta-db", "beta": "--beta-linear",
+    "mu": "--mu", "p": "--p", "phi": "--phi", "r_m": "--r-m",
+}
+
+
+def test_each_parameter_flag_lands_under_its_key(tmp_path):
+    # model.PARAM_KEYS is the one list of the parameters' keys: every flag
+    # stores under its key, whose manifest params and overrides follow it
+    # in its order, whatever the order on the command line; --beta-db and
+    # --beta-linear exclude each other, so each gets its own run
+    assert list(PARAM_FLAGS) == list(model.PARAM_KEYS)
+    given = {"lambda": 2.0, "alpha": 3.5, "mu": 0.5, "p": 0.2, "phi": 1.0, "r_m": 0.25}
+    for beta_key, beta_value, beta in (("beta_db", 7.0, 10.0 ** 0.7), ("beta", 4.0, 4.0)):
+        flags = {**given, beta_key: beta_value}
+        argv = ["optimize", "--mode", "rm", "--outdir", str(tmp_path / beta_key)]
+        for key in reversed(model.PARAM_KEYS):
+            if key in flags:
+                argv += [PARAM_FLAGS[key], repr(flags[key])]
+        assert cli.main(argv) == 0
+        doc = manifest_of(tmp_path / beta_key, "optimize")
+        assert doc["params"] == {**given, "beta": beta}
+        assert list(doc["params"]) == [key for key in model.PARAM_KEYS if key != "beta_db"]
+        assert doc["overrides"] == [
+            f"{key}={flags[key]!r}" for key in model.PARAM_KEYS if key in flags
+        ]
+    sweep = cli._setting_options(cli.build_parser(), "sweep")["param"]
+    assert tuple(sweep.choices) == model.PARAM_KEYS
+    with pytest.raises(ParameterError, match="unknown config key: gamma"):
+        NetworkParams.from_mapping({**GOOD_PARAMS, "gamma": 1.0})
+
+
 @pytest.mark.parametrize("alpha", ["2.001", "2.5"])
 def test_optimum_within_rounding_of_one_is_an_error_row(tmp_path, alpha):
     # at beta = -300 dB, p* lies within rounding of 1: at alpha = 2.001 it
@@ -612,6 +646,19 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
     assert cli.main(["optimize", "--mode", "rm"]) == 0
     assert (tmp_path / "optimize.csv").exists()
     assert (tmp_path / "optimize_manifest.json").exists()
+
+
+def test_outdir_before_the_command_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the top-level --outdir serves replays only: before a command it would
+    # be overwritten by the command's own default, and the tables would
+    # land in the working directory
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--outdir", "x", "fig34", "--phi-grid", "1.0"])
+    assert exc.value.code == 2
+    assert "--outdir goes after the command" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

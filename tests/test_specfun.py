@@ -205,8 +205,8 @@ def test_quadrature_refuses_end_terms_that_cancel():
     # equal and opposite spikes on the two end nodes of the t range cancel
     # in every step size's sum, so the steps agree; the end-term check
     # still sees that the range was cut where the integrand is not small
-    (x0, w0), (x1, w1) = specfun._NODES[0][0], specfun._NODES[0][-1]
-    spikes = {x0: 1.0 / w0, x1: -1.0 / w1}
+    offsets, weights = specfun._LEVEL_TABLES[0]
+    spikes = {offsets[0]: 1.0 / weights[0], offsets[-1]: -1.0 / weights[-1]}
     with pytest.raises(QuadratureError, match="ends"):
         specfun.integrate_semi_infinite(lambda u: spikes.get(u, math.exp(-u)), 0.0)
 
