@@ -249,8 +249,10 @@ def rm_quadratic_roots(params: NetworkParams, variant: str = "standard") -> tupl
             f"negative discriminant ({disc:.6g}) for the {variant} bound: "
             "the quadratic has no real root and the bound is vacuous"
         )
-    lo = (2.0 * k**1.5 - math.sqrt(disc)) / (k * c)
+    # the smaller root through Vieta: the difference of the two terms of
+    # the textbook form cancels when c is small against k
     hi = (2.0 * k**1.5 + math.sqrt(disc)) / (k * c)
+    lo = factor / k / hi
     return lo, hi
 
 

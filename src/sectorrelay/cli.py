@@ -515,9 +515,7 @@ def _check_settings(options: dict, settings: dict, path: Path) -> None:
         raise ParameterError(problems)
 
 
-def rerun_from_manifest(
-    parser: argparse.ArgumentParser, path: Path, outdir_flag: str | None
-) -> int:
+def rerun_from_manifest(path: Path, outdir_flag: str | None) -> int:
     doc = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ParameterError([f"manifest {path} is not a JSON object"])
@@ -531,7 +529,7 @@ def rerun_from_manifest(
         if not isinstance(doc[key], dict):
             raise ParameterError([f"manifest {path}: {key} is not a JSON object"])
     params = NetworkParams.from_mapping(doc["params"])
-    _check_settings(_setting_options(parser, command), doc["settings"], path)
+    _check_settings(_setting_options(_command_parser(command)), doc["settings"], path)
     if not (outdir_flag or "outdir" in doc):
         raise ParameterError([f"manifest {path} lacks key: outdir (or pass --outdir)"])
     outdir = Path(outdir_flag or doc["outdir"])
@@ -542,46 +540,10 @@ def rerun_from_manifest(
 # argument parsing
 # =====================================================================
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built on first use.
-
-    add_command registers a command's name and help, which is all that the
-    top-level help and the invalid-choice error read. The command's parser
-    is built when parsing reaches the command, or when parser() asks for
-    it, so a run builds the options of the one command it invokes.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_options = {}
-
-    def add_command(self, name: str, help: str, add_options) -> None:
-        """Register a command; add_options(parser) fills in its own options."""
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = None
-        self._add_options[name] = add_options
-
-    def parser(self, name: str) -> argparse.ArgumentParser:
-        """The command's parser: the shared option groups, then its own."""
-        if self._name_parser_map[name] is None:
-            parser = self._parser_class(
-                prog=f"{self._prog_prefix} {name}", parents=_shared_options()
-            )
-            self._add_options[name](parser)
-            self._name_parser_map[name] = parser
-        return self._name_parser_map[name]
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        # argparse has checked values[0] against the registered names
-        self.parser(values[0])
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _shared_options() -> list[argparse.ArgumentParser]:
-    """The option groups every command takes: network parameters and run
+def _add_shared_options(parser: argparse.ArgumentParser) -> None:
+    """Add the option groups every command takes: network parameters and run
     control."""
-    params_parent = argparse.ArgumentParser(add_help=False)
-    grp = params_parent.add_argument_group("network parameters")
+    grp = parser.add_argument_group("network parameters")
     grp.add_argument("--config", metavar="PATH", help="key=value or JSON parameter file")
     grp.add_argument("--lambda", dest="lambda", type=float, default=None,
                      help="node density (default 1)")
@@ -600,14 +562,12 @@ def _shared_options() -> list[argparse.ArgumentParser]:
     grp.add_argument("--r-m", dest="r_m", type=float, default=None,
                      help="reference distance (default 0)")
 
-    run_parent = argparse.ArgumentParser(add_help=False)
-    rg = run_parent.add_argument_group("run control")
+    rg = parser.add_argument_group("run control")
     rg.add_argument("--outdir", default=None, help="output directory "
                     f"(default ${OUTDIR_ENV} or the working directory)")
     rg.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
     rg.add_argument("--workers", type=int, default=1,
                     help="accepted and ignored: trials run in one process")
-    return [params_parent, run_parent]
 
 
 def _fine_phi_grid_option(parser: argparse.ArgumentParser) -> None:
@@ -681,9 +641,18 @@ COMMANDS = {
 }
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command: the shared option groups, then its own."""
+    parser = argparse.ArgumentParser(prog=f"sectorrelay {name}")
+    _add_shared_options(parser)
+    COMMANDS[name][1](parser)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser. Its commands' parsers are built on first use
-    (_Subcommands)."""
+    """The top-level parser, for --help, --version and --from-manifest. Its
+    commands are placeholders that name them in the help; a run parses its
+    command with _command_parser."""
     top = argparse.ArgumentParser(
         prog="sectorrelay",
         description=(
@@ -706,40 +675,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory when replaying a manifest (subcommands take "
         "their own --outdir)",
     )
-    sub = top.add_subparsers(action=_Subcommands, dest="command", metavar="COMMAND")
-    for name, (help, add_options) in COMMANDS.items():
-        sub.add_command(name, help, add_options)
+    sub = top.add_subparsers(dest="command", metavar="COMMAND")
+    for name, (help, _) in COMMANDS.items():
+        sub.add_parser(name, help=help, add_help=False)
     return top
 
 
-def _setting_options(parser: argparse.ArgumentParser, command: str) -> dict:
-    """A command's settings, by key: the options of its subparser, less the
+def _setting_options(parser: argparse.ArgumentParser) -> dict:
+    """A command's settings, by key: the options of its parser, less the
     network parameters and --config (the manifest records the parameters
     apart), --outdir and --help."""
-    subcommands = next(a for a in parser._actions if isinstance(a, _Subcommands))
     skip = (*PARAM_KEYS, "config", "help", "outdir")
-    return {a.dest: a for a in subcommands.parser(command)._actions if a.dest not in skip}
+    return {a.dest: a for a in parser._actions if a.dest not in skip}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        if args.from_manifest:
-            if args.command:
-                parser.error("give a subcommand or --from-manifest, not both")
-            return rerun_from_manifest(parser, Path(args.from_manifest), args.replay_outdir)
-        if not args.command:
-            parser.error("a subcommand or --from-manifest is required")
-        if args.replay_outdir:
-            parser.error("--outdir goes after the command: sectorrelay COMMAND --outdir PATH")
-        params, overrides = resolve_params(
-            args, default_p=0.1 if args.command == "fig2" else None
-        )
-        settings = {key: getattr(args, key) for key in _setting_options(parser, args.command)}
-        return _execute(
-            args.command, params, settings, _resolve_outdir(args), overrides
-        )
+        if argv and argv[0] in COMMANDS:
+            command = argv[0]
+            parser = _command_parser(command)
+            args = parser.parse_args(argv[1:])
+            params, overrides = resolve_params(
+                args, default_p=0.1 if command == "fig2" else None
+            )
+            settings = {key: getattr(args, key) for key in _setting_options(parser)}
+            return _execute(command, params, settings, _resolve_outdir(args), overrides)
+        top = build_parser()
+        args, rest = top.parse_known_args(argv)
+        # a command reaches its placeholder only after a top-level option
+        if args.command and args.from_manifest:
+            top.error("give a subcommand or --from-manifest, not both")
+        if args.command:
+            top.error("--outdir goes after the command: sectorrelay COMMAND --outdir PATH")
+        if rest:
+            top.error(f"unrecognized arguments: {' '.join(rest)}")
+        if not args.from_manifest:
+            top.error("a subcommand or --from-manifest is required")
+        return rerun_from_manifest(Path(args.from_manifest), args.replay_outdir)
     except (ParameterError, DomainError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -456,6 +456,27 @@ def test_standard_bound_vacuous_at_small_threshold():
     assert analytic.rm_upper_bound(params, "alternate") > 0.0
 
 
+def test_standard_bound_dominates_over_the_admissible_space():
+    # log-uniform admissible cases out to the model's corners, where the
+    # relay rate is tiny against k: the smaller root must not cancel to
+    # rounding noise below the optimum (or to 0)
+    rng = np.random.default_rng(2)
+    for _ in range(1000):
+        near = 10.0 ** rng.uniform(-12.0, -1.0)
+        params = NetworkParams(
+            lam=10.0 ** rng.uniform(-12.0, 12.0),
+            alpha=2.0 + 10.0 ** rng.uniform(-6.0, 2.0),
+            beta=10.0 ** rng.uniform(-30.0, 30.0),
+            p=near if rng.random() < 0.5 else 1.0 - near,
+            phi=2.0 * math.pi * 10.0 ** rng.uniform(-9.0, 0.0),
+        )
+        try:
+            bound = analytic.rm_upper_bound(params, "standard")
+        except VacuousBoundError:
+            continue
+        assert bound >= optimize.optimize_rm(params).rm_star, params
+
+
 def test_bound_rejects_unknown_variant():
     with pytest.raises(ValueError, match="unknown bound variant"):
         analytic.rm_upper_bound(BASE, "best")

@@ -130,6 +130,21 @@ def test_fig2_vacuous_bound_row(tmp_path):
     assert rows[0]["printed_bound_holds"] == "1"
 
 
+@pytest.mark.parametrize("beta_db", ["200", "300"])
+def test_fig2_bound_at_a_huge_threshold(tmp_path, beta_db):
+    # the relay rate is tiny against k here: the textbook smaller root
+    # cancelled to 3.5e-10 at 200 dB and to 0 at 300 dB, against an
+    # optimum of 7.6e-20 and 7.6e-30
+    argv = ["fig2", "--beta-db", beta_db, "--phi-grid", "1.5707963267948966"]
+    assert cli.main(argv + ["--outdir", str(tmp_path)]) == 0
+    _, rows = read_table(tmp_path / "fig2.csv")
+    rm = float(rows[0]["rm_numerical"])
+    assert 1.0 < float(rows[0]["rm_bound_printed"]) / rm < 1.2
+    assert 0.0 < float(rows[0]["rm_bound_derived"]) / rm < 1.0
+    assert (rows[0]["printed_bound_holds"], rows[0]["derived_bound_holds"]) == ("1", "0")
+    assert rows[0]["status"] == "ok"
+
+
 # ---------------------------------------------------------------------
 # fig34: jointly optimal operating point vs beamwidth
 # ---------------------------------------------------------------------
@@ -516,7 +531,7 @@ def test_each_parameter_flag_lands_under_its_key(tmp_path):
         assert doc["overrides"] == [
             f"{key}={flags[key]!r}" for key in model.PARAM_KEYS if key in flags
         ]
-    sweep = cli._setting_options(cli.build_parser(), "sweep")["param"]
+    sweep = cli._setting_options(cli._command_parser("sweep"))["param"]
     assert tuple(sweep.choices) == model.PARAM_KEYS
     with pytest.raises(ParameterError, match="unknown config key: gamma"):
         NetworkParams.from_mapping({**GOOD_PARAMS, "gamma": 1.0})
@@ -668,27 +683,36 @@ def test_version_flag(capsys):
     assert sectorrelay.__version__ in capsys.readouterr().out
 
 
-def _subcommands(parser):
-    return next(a for a in parser._actions if isinstance(a, cli._Subcommands))
+#: Each command's settings keys, in the order its manifests record them.
+SETTINGS_KEYS = {
+    "fig2": ["seed", "workers", "phi_grid"],
+    "fig34": ["seed", "workers", "phi_grid"],
+    "fig5": ["seed", "workers", "phi_grid", "simulate", "trials"],
+    "sweep": ["seed", "workers", "param", "values", "optimize", "scaling", "variant"],
+    "optimize": ["seed", "workers", "mode", "variant"],
+    "simulate": ["seed", "workers", "trials", "guard_radius", "variant", "emit_trials"],
+}
 
 
-def test_each_command_parses_as_in_the_full_parser(capsys):
-    # a run builds only the parser of the command it invokes: that parser must
-    # print the same help and take the same settings as in a parser that has
-    # built every command, in the opposite order
-    assert list(cli.COMMANDS) == list(cli.HANDLERS)
-    full = cli.build_parser()
-    settings = {name: cli._setting_options(full, name) for name in reversed(cli.HANDLERS)}
-    assert cli.build_parser().format_help() == full.format_help()
-    for name in cli.HANDLERS:
-        alone = cli.build_parser()
-        with pytest.raises(SystemExit) as exc:
-            alone.parse_args([name, "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out == _subcommands(full).parser(name).format_help()
-        built = [key for key, parser in _subcommands(alone).choices.items() if parser is not None]
-        assert built == [name]
-        assert cli._setting_options(alone, name).keys() == settings[name].keys()
+def test_each_command_parses_alone(tmp_path, monkeypatch, capsys):
+    # the top-level help names every command; each command's own parser
+    # gives the settings keys that recorded manifests hold; and a command
+    # run parses with that parser alone, never the top-level one
+    assert list(cli.COMMANDS) == list(cli.HANDLERS) == list(SETTINGS_KEYS)
+    monkeypatch.setenv("COLUMNS", "1000")  # no help line wraps at a hyphen
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    listing = " ".join(capsys.readouterr().out.split())
+    for name, (help, _) in cli.COMMANDS.items():
+        assert f"{name} {help}" in listing
+        assert list(cli._setting_options(cli._command_parser(name))) == SETTINGS_KEYS[name]
+
+    def refuse():
+        raise AssertionError("a command run built the top-level parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert cli.main(["fig34", "--phi-grid", "1.0", "--outdir", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------------
