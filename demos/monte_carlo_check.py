@@ -24,7 +24,7 @@ opt = NetworkParams(
 # =====================================================================
 # Trials sample the network from the viewpoint of a typical transmitter:
 # the relay distance from its law (the nearest receiver in the sector beyond
-# r_m, whose d^2 - r_m^2 is exponential), stratified over blocks of 64
+# r_m, whose d^2 - r_m^2 is exponential), stratified over blocks of 128
 # trials, the distances of the interferers whose beam covers the relay in a
 # near-field disk around it (a thinned Poisson process), and the rest of the
 # interference and the relay's angle integrated out exactly. Each trial

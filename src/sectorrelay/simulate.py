@@ -53,21 +53,24 @@ independent check of the formula.
   every alpha > 2: the proposal's tail never falls below the integrand's,
   so the relay weight cannot outgrow P_s.
 - Interferers: the near field is split into rings: an inner disk,
-  geometric rings whose edges step by at most RING_RATIO, and at most one
-  flat ring out to L, with every radius guard_sensitivity is given as a
-  further edge. The geometric rings run from r_b/8, never below L/1000,
-  to 8*r_b, never below L/4 nor past L, where r_b = (beta*D^alpha)^(1/alpha)
-  and D^2 = r_m^2 + 1/(b + kappa) is a typical relay's: the link's
-  survival curve h(r) = 1/(1 + s*r^-alpha) bends at r_b (h = 1/2), so the
-  rings follow the bend as beta moves it, also where it lies beyond L/4,
-  and a run with one radius has at most 15 rings (12 at perfbench's
-  points, 15 as beta -> 0). Each ring has a tilt radius r_k, its
-  geometric mid radius (the inner disk's outer edge), and
+  geometric rings, and at most one flat ring out to L, with every radius
+  guard_sensitivity is given as a further edge. The geometric rings run
+  from r_b/8, never below L/1000, to 8*r_b, never below L/4 nor past L,
+  where r_b = (beta*D^alpha)^(1/alpha) and D^2 = r_m^2 + 1/(b + kappa) is
+  a typical relay's: the link's survival curve h(r) = 1/(1 + s*r^-alpha)
+  bends at r_b (h = 1/2), so the rings follow the bend as beta moves it,
+  also where it lies beyond L/4. Their edges step by at most FINE_RATIO
+  from r_b/2 to 8*r_b, where the curve turns, and by at most COARSE_RATIO
+  below r_b/2 and past 8*r_b, where it is nearly a power law; each zone's
+  last edge is exact. A run with one radius has at most 15 rings (12 at
+  perfbench's points, 10 as beta -> 0). Each ring has a tilt radius r_k,
+  its geometric mid radius (the inner disk's outer edge), and
   h_k = 1/(1 + s*r_k^-alpha), the link's survival past one interferer
   there. A geometric ring is shaped: it draws at density
   rho*h_k*(r/r_k)^gamma_k, gamma_k = alpha*(1 - h_k), which follows the
-  survival curve in log-log space about r_k (s*r^-alpha changes by up to
-  3.7x across a ring at alpha = 3, which one flat tilt per ring misses).
+  survival curve in log-log space about r_k (at alpha = 3, s*r^-alpha
+  changes by up to 3x across a fine ring and 8x across a coarse one,
+  which one flat tilt per ring misses).
   Its mass is the power integral
       M_k = 2*pi*rho*r_k^2*h_k*(hi^(gamma_k+2) - lo^(gamma_k+2))/(gamma_k+2),
   lo and hi its edges over r_k, and a point's t = r/r_k is drawn by the
@@ -91,15 +94,15 @@ trials covers the relay law's quantiles evenly; the inverse CDF and the
 weight are unchanged. Every trial is independent, but the strata's laws
 differ: the estimate is still the mean over all trials, and its variance
 is that of stratified sampling, the mean of the strata's own variances
-over n. A run draws whole blocks, rounding the trial count up to a
-multiple of STRATA, so each stratum holds one trial per block, and the
-standard error keeps up to STRATA*(blocks - 1) degrees of freedom (960
-at 1000 trials, which round up to 1024, 16 blocks), as unequal strata
-variances allow. The spread of the block means would keep only
-blocks - 1 (15).
+over n. A run draws whole blocks, at least two, rounding the trial count
+up to a multiple of STRATA, so each stratum holds one trial per block,
+and the standard error keeps up to STRATA*(blocks - 1) degrees of
+freedom (896 at 1000 trials, which round up to 1024, 8 blocks), as
+unequal strata variances allow. The spread of the block means would keep
+only blocks - 1 (7).
 
-Batches and randomness: trials run in chunks of CHUNK = 256; the
-proposal's table (ring edges, areas, b, kappa) is built once per run. A
+Batches and randomness: trials run in chunks of CHUNK = 256, two blocks;
+the proposal's table (ring edges, areas, b, kappa) is built once per run. A
 run draws from two SFC64 streams, one per purpose: the relay stream
 gives each chunk its relay distance uniforms, the near-field stream its
 interferer counts on the (ring, trial) grid and then its interferer
@@ -155,35 +158,40 @@ _TAG_SAMPLE = 3
 #: (ring, trial) grid with the shaped rings' powers, the Poisson draw) over
 #: enough trials, and a chunk's arrays stay small (at most about 160k
 #: interferer radii at the default near field, at phi = 2*pi); 512 ran
-#: slower.
+#: slower. It holds two blocks of STRATA, the fewest a run draws, so the
+#: smallest run computes one chunk and keeps all of it.
 CHUNK = 256
 
 #: Relay strata: trial i draws its relay uniform in stratum i mod STRATA,
 #: and the standard error is taken from the spread within each stratum, over
-#: consecutive blocks of STRATA trials. CHUNK is a multiple of it, so every
-#: chunk holds whole blocks, and a run of 1000 trials (1024) or 200 (256)
-#: uses every trial its chunks compute. The relay-only part of the
-#: per-trial variance falls about as 1/STRATA^2; at 64 strata it is about
-#: 0.0001 of the per-trial n*RSE^2 at the default joint optima.
-STRATA = 64
+#: consecutive blocks of STRATA trials, at least two. CHUNK holds two
+#: blocks, so a run of 1000 trials (1024), 200 or 100 (both 256) uses every
+#: trial its chunks compute. The relay-only part of the per-trial variance
+#: falls about as 1/STRATA^2; at 128 strata it is about 0.00004 of the
+#: per-trial n*RSE^2 at the default joint optima (0.00017 at 64).
+STRATA = 128
 
 #: Near-field rings: geometric rings, whose tilts are shaped to the link's
 #: survival curve, from its bend over RING_REACH (never below
 #: RING_INNER*L, L the near-field radius) to RING_REACH times its bend
-#: (never below RING_OUTER*L nor past L), each edge at most RING_RATIO
-#: times the last, then at most one flat ring out to L. The shaped rings
-#: must reach past the bend: a flat ring that holds it carries most of the
-#: per-trial variance, and where the bend lies beyond L/4 it gives
-#: confident wrong estimates. At the default joint optima these rings
-#: leave a per-trial n*RSE^2 of 0.0005-0.0006.
+#: (never below RING_OUTER*L nor past L), then at most one flat ring out to
+#: L. The shaped rings must reach past the bend: a flat ring that holds it
+#: carries most of the per-trial variance, and where the bend lies beyond
+#: L/4 it gives confident wrong estimates. Between FINE_ZONE times the bend,
+#: where the survival curve turns, each edge is at most FINE_RATIO times
+#: the last; elsewhere the curve is nearly a power law, which one tilt per
+#: ring follows over a ratio of COARSE_RATIO. At the default joint optima
+#: these rings leave a per-trial n*RSE^2 of about 0.0003.
 RING_INNER = 1e-3
 RING_OUTER = 0.25
-RING_RATIO = 1.55
 RING_REACH = 8.0
+FINE_ZONE = (0.5, RING_REACH)
+FINE_RATIO = 1.45
+COARSE_RATIO = 2.0
 
 #: CSV column order and schema version of per-trial streams.
 TRIAL_COLUMNS = ("trial", "d", "progress", "weight")
-TRIAL_SCHEMA_VERSION = 5
+TRIAL_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -373,6 +381,17 @@ def far_field_integral(s, alpha: float, radius: float):
     return float(value[0]) if s.ndim == 0 else value.reshape(s.shape)
 
 
+def _geometric_edges(lo: float, hi: float, ratio: float) -> list[float]:
+    """Edges from lo to hi, each at most ratio times the last; none when
+    hi <= lo. np.geomspace costs more than the rest of the table; the last
+    edge is hi itself, so rounding leaves no sliver ring beside L or a
+    radius at the zone's end."""
+    if not lo < hi:
+        return []
+    count = math.ceil(math.log(hi / lo) / math.log(ratio))
+    return [lo * (hi / lo) ** (i / count) for i in range(count)] + [hi]
+
+
 def _proposal(
     params: NetworkParams,
     variant: ProtocolVariant,
@@ -380,14 +399,16 @@ def _proposal(
 ) -> _Proposal:
     """The run's proposal table, built once per run.
 
-    Rings: the inner disk, geometric rings at a ratio of at most
-    RING_RATIO, and a flat ring out to L, the widest radius, unless the
-    geometric rings reach it; every radius is also an edge, so that each
-    radius owns whole rings and exact weights. The geometric rings run from
-    r_b/RING_REACH, never below RING_INNER*L, to RING_REACH*r_b, never below
-    RING_OUTER*L nor past L, about the bend r_b = (beta*D^alpha)^(1/alpha),
-    D^2 = r_m^2 + 1/(b + kappa), of a typical link's survival curve; their
-    last edge is that end itself. A ring's tilt radius is its geometric mid
+    Rings: the inner disk, geometric rings, and a flat ring out to L, the
+    widest radius, unless the geometric rings reach it; every radius is
+    also an edge, so that each radius owns whole rings and exact weights.
+    The geometric rings run from r_b/RING_REACH, never below RING_INNER*L,
+    to RING_REACH*r_b, never below RING_OUTER*L nor past L, about the bend
+    r_b = (beta*D^alpha)^(1/alpha), D^2 = r_m^2 + 1/(b + kappa), of a
+    typical link's survival curve. They step by at most FINE_RATIO between
+    FINE_ZONE times r_b and by at most COARSE_RATIO below and past it; each
+    of these three zones' last edge is its end itself, so rounding leaves no
+    sliver ring. A ring's tilt radius is its geometric mid
     radius, the inner disk's its outer edge. The geometric rings are
     shaped; they lie next to each other, so their points do too in the
     kernel's ring-major order.
@@ -437,13 +458,17 @@ def _proposal(
     # bends at r_b = link^(1/alpha), where h = 1/2
     bend = link ** (1.0 / params.alpha)
     end = min(widest, max(RING_OUTER * widest, RING_REACH * bend))
-    start = min(max(bend / RING_REACH, RING_INNER * widest), end / RING_RATIO)
-    count = math.ceil(math.log(end / start) / math.log(RING_RATIO))
-    # np.geomspace costs more than the rest of the table; the last edge is
-    # end itself, so rounding leaves no sliver ring beside L or a radius
-    geometric = start * (end / start) ** (np.arange(count + 1) / count)
-    geometric[-1] = end
-    edges = np.array(sorted({0.0, *geometric.tolist(), *radii}))
+    start = min(max(bend / RING_REACH, RING_INNER * widest), end / COARSE_RATIO)
+    # coarse rings up to the fine zone about the bend, fine rings across it,
+    # coarse rings past it; each zone is clipped to [start, end]
+    knots = [start, *(min(max(f * bend, start), end) for f in FINE_ZONE), end]
+    ratios = (COARSE_RATIO, FINE_RATIO, COARSE_RATIO)
+    geometric = [
+        edge
+        for lo, hi, ratio in zip(knots, knots[1:], ratios)
+        for edge in _geometric_edges(lo, hi, ratio)
+    ]
+    edges = np.array(sorted({0.0, *geometric, *radii}))
     inner, outer = edges[:-1], edges[1:]
     mid = np.sqrt(inner * outer)
     mid[0] = outer[0]
@@ -616,7 +641,7 @@ def _run_trials(
 ):
     """(d, progress, weight) of trials 0 .. n-1, with one row of progress
     and of weight per radius; n is sim.trials rounded up to whole blocks of
-    STRATA.
+    STRATA, at least two.
 
     The proposal table is built once; the chunks draw in order from the
     run's relay and near-field streams and sum the near field; the far
@@ -625,7 +650,7 @@ def _run_trials(
     final one, so numpy's floating-point warnings are silenced; an
     interferer on a relay gives that trial progress 0 without a warning.
     """
-    trials = STRATA * math.ceil(sim.trials / STRATA)
+    trials = STRATA * max(2, math.ceil(sim.trials / STRATA))
     relays, near_field = _stream(sim.seed, _TAG_RELAY), _stream(sim.seed, _TAG_NEAR)
     scratch = _Scratch()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -652,7 +677,7 @@ def collect_trials(
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> Trials:
     """All trials in trial order: sim.trials rounded up to whole blocks of
-    STRATA."""
+    STRATA, at least two."""
     d, progress, weight = _run_trials(params, sim, variant, (sim.guard_radius,))
     return Trials(d, progress[0], weight[0])
 

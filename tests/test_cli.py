@@ -382,14 +382,15 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     schema, rows = read_table(a / "simulate.csv")
     assert schema == "# schema: sectorrelay.simulate v2"
     row = rows[0]
-    # the run draws whole blocks of STRATA relay strata: 150 rounds up to 192
-    drawn = simulate.STRATA * math.ceil(150 / simulate.STRATA)
+    # the run draws whole blocks of STRATA relay strata, at least two: 150
+    # rounds up to 256
+    drawn = simulate.STRATA * max(2, math.ceil(150 / simulate.STRATA))
     assert row["trials_used"] == str(drawn)
     assert abs(float(row["z_score"])) < 4.0
     assert float(row["ci95_low"]) < float(row["edp_closed"]) < float(row["ci95_high"])
 
     trial_schema, trial_rows = read_table(a / "simulate_trials.csv")
-    assert trial_schema == "# schema: sectorrelay.simulate_trials v5"
+    assert trial_schema == "# schema: sectorrelay.simulate_trials v6"
     assert len(trial_rows) == drawn
     assert tuple(trial_rows[0].keys()) == simulate.TRIAL_COLUMNS
 
@@ -407,6 +408,18 @@ def test_simulate_run_emit_trials_and_replay(tmp_path):
     progress = np.array([float(r["progress"]) for r in trial_rows])
     weight = np.array([float(r["weight"]) for r in trial_rows])
     assert simulate.summarize_trials(weight * progress, params).mean == est.mean
+
+
+def test_smallest_simulate_run_emits_two_blocks(tmp_path):
+    # --trials 100, the fewest simulate accepts, rounds up to two blocks of
+    # STRATA relay strata: 256 trial rows, all in the estimate
+    argv = ["simulate", "--trials", "100", "--emit-trials", "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    _, rows = read_table(tmp_path / "simulate.csv")
+    _, trial_rows = read_table(tmp_path / "simulate_trials.csv")
+    assert len(trial_rows) == 2 * simulate.STRATA == 256
+    assert rows[0]["trials_used"] == "256" and rows[0]["status"] == "ok"
+    assert [int(r["trial"]) for r in trial_rows] == list(range(256))
 
 
 def test_simulate_std_error_survives_tiny_progress(tmp_path):

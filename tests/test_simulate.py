@@ -404,6 +404,18 @@ def test_runs_draw_whole_strata_blocks():
     assert np.array_equal(band, np.arange(len(u)) % simulate.STRATA)
 
 
+def test_smallest_run_draws_two_blocks():
+    # the smallest run validate_for_estimation accepts, 100 trials, rounds up
+    # to two blocks of STRATA (256 trials, one chunk), the fewest that give
+    # a stratified standard error
+    sim = simulate.SimConfig.for_params(OPT, trials=100, seed=4)
+    trials = simulate.collect_trials(OPT, sim)
+    assert len(trials.d) == 2 * simulate.STRATA == 256
+    est = simulate.estimate_density_of_progress(OPT, sim)
+    assert est.trials_used == 256
+    assert est.mean > 0.0 and 0.0 < est.std_error < est.mean
+
+
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
 def test_estimator_agrees_at_a_distant_reference(variant):
     # r_m = 20/sqrt(lambda) puts every relay twenty relay scales out; the
@@ -416,9 +428,9 @@ def test_estimator_agrees_at_a_distant_reference(variant):
 
 
 def test_collect_trials_is_a_prefix_across_a_chunk_boundary():
-    # the short run ends inside the chunk that the long run runs past, two
-    # blocks before its end (128 and 278 trials at CHUNK = 256, STRATA = 64)
-    short, long = simulate.CHUNK - 2 * simulate.STRATA, simulate.CHUNK + 22
+    # the short run ends inside the chunk that the long run runs past, a
+    # block before its end (384 and 534 trials at CHUNK = 256, STRATA = 128)
+    short, long = simulate.CHUNK + simulate.STRATA, 2 * simulate.CHUNK + 22
     assert short // simulate.CHUNK < long // simulate.CHUNK and short % simulate.STRATA == 0
     sim = simulate.SimConfig(trials=long, seed=123, guard_radius=10.0)
     full = simulate.collect_trials(BASE, sim)
@@ -685,8 +697,8 @@ def test_strata_and_the_mean_cosine_cut_the_per_trial_variance(phi, bound, varia
 @pytest.mark.parametrize(
     "phi, beta_db, bound",
     [
-        (math.pi / 6, 10.0, 0.005),
-        (math.pi / 2, 10.0, 0.005),
+        (math.pi / 6, 10.0, 0.0004),
+        (math.pi / 2, 10.0, 0.0004),
         (math.pi / 2, 30.0, 0.0015),
         (math.pi / 2, -20.0, 0.0015),
     ],
@@ -699,8 +711,11 @@ def test_rings_about_the_bend_cut_the_per_trial_variance(phi, beta_db, bound, va
     # 0.077/0.074 at 30 dB and 0.0022/0.0030 at -20 dB (directional/omni).
     # At 30 dB the survival curve bends beyond L/4: shaped rings that stop
     # at L/4 left 0.020/0.021 there, and rings that reach eight times past
-    # the bend leave 0.00045/0.00046 (at most 0.00058 over seeds 3-12). At
-    # -20 dB the bend lies far inside the relay distance
+    # the bend left 0.00045/0.00046 (at most 0.00058 over seeds 3-12). With
+    # 64 relay strata and one ring ratio of 1.55, pi/6 and pi/2 read
+    # 0.00051-0.00056 here; 128 strata and fine rings about the bend leave
+    # at most 0.00034 over seeds 3-8. At -20 dB the bend lies far inside the
+    # relay distance
     base = _with(BASE, phi=phi, beta=10.0 ** (beta_db / 10.0))
     best = optimize.optimize_joint(base, variant)
     params = _with(base, p=best.p_star, r_m=best.rm_star)
@@ -712,11 +727,12 @@ def test_rings_about_the_bend_cut_the_per_trial_variance(phi, beta_db, bound, va
 def test_ring_count_stays_bounded():
     # the shaped rings run from an eighth of the survival curve's bend, never
     # below RING_INNER*L, to eight times it, never below L/4 nor past L, and
-    # step by at most RING_RATIO: with the inner disk and at most one flat
-    # ring out to L, at most 15 rings over ROADMAP item 8's grid (default
-    # near field) and exactly 15 as beta -> 0, where the floor binds (13
-    # shaped rings from L/1000 to L/4; an eighth of the bend alone would
-    # give about 50 at beta = 1e-30)
+    # step by at most FINE_RATIO between half the bend and eight times it,
+    # by at most COARSE_RATIO elsewhere: with the inner disk and at most one
+    # flat ring out to L, at most 15 rings over ROADMAP item 8's grid
+    # (default near field) and exactly 10 as beta -> 0, where the floor
+    # binds and the bend lies far inside it (8 coarse rings from L/1000 to
+    # L/4; an eighth of the bend alone would give about 50 at beta = 1e-30)
     counts = {
         len(simulate._proposal(params, variant, (40.0,)).mid_power)
         for params, variant in _item8_grid()
@@ -724,7 +740,7 @@ def test_ring_count_stays_bounded():
     assert max(counts) <= 15 and min(counts) < max(counts)
     for beta in (1e-30, 1e-300):
         table = simulate._proposal(_with(OPT, beta=beta), ProtocolVariant.DIRECTIONAL, (40.0,))
-        assert len(table.mid_power) == 15
+        assert len(table.mid_power) == 10
 
 
 def test_shaped_rings_end_exactly_at_their_end():
@@ -778,12 +794,13 @@ def test_estimates_are_calibrated(variant):
 
 
 def test_smallest_runs_cover_at_the_nominal_rate():
-    # the smallest run validate_for_estimation accepts, 100 trials (128, two
+    # the smallest run validate_for_estimation accepts, 100 trials (256, two
     # blocks), at the joint optimum for phi = pi/2: its ci95, the mean +- 1.96
     # standard errors, must cover the closed form about 95 % of the time. The
     # spread within the strata keeps up to STRATA*(blocks - 1) degrees of
-    # freedom and covers 93.5 % here (94.5 % in seven blocks of 16); with 16
-    # strata the spread of the seven block means kept 6 and covered 90.7 %
+    # freedom and covers 93.7 % here (93.2 % in two blocks of 64, 94.5 % in
+    # seven blocks of 16); with 16 strata the spread of the seven block
+    # means kept 6 and covered 90.7 %
     covered = 0
     for variant in ProtocolVariant:
         best = optimize.optimize_joint(BASE, variant)
