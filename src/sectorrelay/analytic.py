@@ -144,15 +144,10 @@ def log_expected_density(
 
     The scaled gamma keeps every term finite for arbitrarily large r_m, so
     this route never overflows; exponents beyond the double range simply
-    come back as large negative logs. At phi = 2*pi the heading cosine
-    averages to zero, so the value collapses to the rounding error of
-    sin(phi/2); the defensive sin <= 0 branch returns -inf.
+    come back as large negative logs.
     """
     a, k = _decay_rates(params, variant)
     u = k * params.r_m**2
-    s = math.sin(params.phi / 2.0)
-    if s <= 0.0:
-        return -math.inf
     return (
         2.0 * math.log(params.lam)
         + math.log(params.p)
@@ -160,7 +155,7 @@ def log_expected_density(
         + math.log(specfun.gamma_upper_3half_scaled(u))
         - a * params.r_m**2
         - 1.5 * math.log(k)
-        + math.log(s)
+        + math.log(math.sin(params.phi / 2.0))
     )
 
 

@@ -96,23 +96,19 @@ def _write_csv(outdir: Path, name: str, header, rows, version: int = SCHEMA_VERS
 def _grid_spec(text: str) -> list[float]:
     """Parse 'start:stop:count' (inclusive linspace) or 'v1,v2,...'."""
     s = text.strip()
-    if not s:
-        raise argparse.ArgumentTypeError("empty grid")
     try:
-        if ":" in s:
-            a, b, n = s.split(":")
-            count = int(n)
-            if count < 1:
-                raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
-            return [float(x) for x in np.linspace(float(a), float(b), count)]
-        values = [float(tok) for tok in s.split(",") if tok.strip()]
-    except argparse.ArgumentTypeError:
-        raise
+        if ":" not in s:
+            values = [float(tok) for tok in s.split(",") if tok.strip()]
+            if not values:
+                raise argparse.ArgumentTypeError("empty grid")
+            return values
+        a, b, n = s.split(":")
+        start, stop, count = float(a), float(b), int(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty grid")
-    return values
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"grid count must be >= 1, got {count}")
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def _error_status(exc: Exception) -> str:

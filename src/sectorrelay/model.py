@@ -203,10 +203,21 @@ def spatial_interference_constant(alpha: float, beta: float) -> float:
 
 
 def radial_decay_rate(params: NetworkParams, t: float | None = None) -> float:
-    """k = (lambda*phi/2) * (p*t/pi + (1 - p)); linear in p, lambda and phi."""
+    """k = (lambda*phi/2) * (p*t/pi + (1 - p)); linear in p, lambda and phi.
+
+    Raises DomainError where k underflows to 0, as lambda*phi does near
+    the smallest doubles: every formula that takes log(k) or divides by k
+    fails there.
+    """
     if t is None:
         t = spatial_interference_constant(params.alpha, params.beta)
-    return params.lam * params.phi / 2.0 * (params.p * t / math.pi + (1.0 - params.p))
+    k = params.lam * params.phi / 2.0 * (params.p * t / math.pi + (1.0 - params.p))
+    if k == 0.0:
+        raise DomainError(
+            f"lambda = {params.lam:.6g} and phi = {params.phi:.6g} underflow the decay rate "
+            "k = (lambda*phi/2)*(p*t/pi + 1 - p) to 0"
+        )
+    return k
 
 
 def relay_rate(params: NetworkParams) -> float:

@@ -52,9 +52,9 @@ independent check of the formula.
   in d^2 at kappa*x/sin(x), x = 2*pi/alpha, which is at least kappa for
   every alpha > 2: the proposal's tail never falls below the integrand's,
   so the relay weight cannot outgrow P_s.
-- Interferers: the near field is split into rings: an inner disk,
-  geometric rings, and at most one flat ring out to L, with every radius
-  guard_sensitivity is given as a further edge. The geometric rings run
+- Interferers: the near field, out to the run's one radius L, is split
+  into rings: an inner disk, geometric rings, and at most one flat ring
+  out to L. The geometric rings run
   from r_b/8, never below L/1000, to 8*r_b, never below L/4 nor past L,
   where r_b = (beta*D^alpha)^(1/alpha) and D^2 = r_m^2 + 1/(b + kappa) is
   a typical relay's: the link's survival curve h(r) = 1/(1 + s*r^-alpha)
@@ -62,7 +62,7 @@ independent check of the formula.
   also where it lies beyond L/4. Their edges step by at most FINE_RATIO
   from r_b/2 to 8*r_b, where the curve turns, and by at most COARSE_RATIO
   below r_b/2 and past 8*r_b, where it is nearly a power law; each zone's
-  last edge is exact. A run with one radius has at most 15 rings (12 at
+  last edge is exact. A run has at most 15 rings (12 at
   perfbench's points, 10 as beta -> 0). Each ring has a tilt radius r_k,
   its geometric mid radius (the inner disk's outer edge), and
   h_k = 1/(1 + s*r_k^-alpha), the link's survival past one interferer
@@ -274,11 +274,8 @@ class _Proposal(NamedTuple):
     radii r_k*exp(-log_hi[k]) to r_k*exp(log_hi[k]), and
     scale[k] = 2*pi*density*r_k^2. The others are flat, and their squared
     radii over r_k^2 run from square_lo[k] to square_lo[k] + square_span[k].
-    radii[j] holds the first ends[j] rings.
     """
 
-    radii: tuple[float, ...]
-    ends: tuple[int, ...]
     density: float
     r_m2: float
     rate: float
@@ -384,8 +381,7 @@ def far_field_integral(s, alpha: float, radius: float):
 def _geometric_edges(lo: float, hi: float, ratio: float) -> list[float]:
     """Edges from lo to hi, each at most ratio times the last; none when
     hi <= lo. np.geomspace costs more than the rest of the table; the last
-    edge is hi itself, so rounding leaves no sliver ring beside L or a
-    radius at the zone's end."""
+    edge is hi itself, so rounding leaves no sliver ring at the zone's end."""
     if not lo < hi:
         return []
     count = math.ceil(math.log(hi / lo) / math.log(ratio))
@@ -395,15 +391,15 @@ def _geometric_edges(lo: float, hi: float, ratio: float) -> list[float]:
 def _proposal(
     params: NetworkParams,
     variant: ProtocolVariant,
-    radii: tuple[float, ...],
+    radius: float,
 ) -> _Proposal:
-    """The run's proposal table, built once per run.
+    """The run's proposal table, built once per run, for the near-field
+    radius L = radius.
 
-    Rings: the inner disk, geometric rings, and a flat ring out to L, the
-    widest radius, unless the geometric rings reach it; every radius is
-    also an edge, so that each radius owns whole rings and exact weights.
-    The geometric rings run from r_b/RING_REACH, never below RING_INNER*L,
-    to RING_REACH*r_b, never below RING_OUTER*L nor past L, about the bend
+    Rings: the inner disk, geometric rings, and a flat ring out to L,
+    unless the geometric rings reach it. The geometric rings run from
+    r_b/RING_REACH, never below RING_INNER*L, to RING_REACH*r_b, never
+    below RING_OUTER*L nor past L, about the bend
     r_b = (beta*D^alpha)^(1/alpha), D^2 = r_m^2 + 1/(b + kappa), of a
     typical link's survival curve. They step by at most FINE_RATIO between
     FINE_ZONE times r_b and by at most COARSE_RATIO below and past it; each
@@ -417,7 +413,6 @@ def _proposal(
     range of a double raises DomainError naming it, before any draw and
     before the layout is chosen.
     """
-    widest = max(radii)
     density = interferer_density(params, variant)
     b = relay_rate(params)
     kappa = density * params.beta ** (2.0 / params.alpha) * math.pi
@@ -433,7 +428,7 @@ def _proposal(
             "simulator's range: both must be finite doubles, b > 0"
         )
     # every tilt radius lies between these two, whatever the bend
-    reach = np.array([min(RING_INNER * widest, *radii), widest])
+    reach = np.array([RING_INNER * radius, radius])
     reach_power = reach**-params.alpha
     if not np.all(np.isfinite(reach_power) & np.isfinite(1.0 / reach_power)):
         if params.alpha * math.log(reach[1] / reach[0]) > 2.0 * math.log(sys.float_info.max):
@@ -443,7 +438,7 @@ def _proposal(
                 "radius, cannot stay within a double at any scale"
             )
         raise DomainError(
-            f"lambda = {params.lam:.6g} and the near-field radius {widest:.6g} (guard_radius, "
+            f"lambda = {params.lam:.6g} and the near-field radius {radius:.6g} (guard_radius, "
             "40/sqrt(lambda) by default) are out of the simulator's range: r^alpha and "
             "r^-alpha over the near-field rings leave a double"
         )
@@ -457,8 +452,8 @@ def _proposal(
     # the survival curve h(r) = 1/(1 + s*r^-alpha) of a link with s = link
     # bends at r_b = link^(1/alpha), where h = 1/2
     bend = link ** (1.0 / params.alpha)
-    end = min(widest, max(RING_OUTER * widest, RING_REACH * bend))
-    start = min(max(bend / RING_REACH, RING_INNER * widest), end / COARSE_RATIO)
+    end = min(radius, max(RING_OUTER * radius, RING_REACH * bend))
+    start = min(max(bend / RING_REACH, RING_INNER * radius), end / COARSE_RATIO)
     # coarse rings up to the fine zone about the bend, fine rings across it,
     # coarse rings past it; each zone is clipped to [start, end]
     knots = [start, *(min(max(f * bend, start), end) for f in FINE_ZONE), end]
@@ -468,14 +463,12 @@ def _proposal(
         for lo, hi, ratio in zip(knots, knots[1:], ratios)
         for edge in _geometric_edges(lo, hi, ratio)
     ]
-    edges = np.array(sorted({0.0, *geometric, *radii}))
+    edges = np.array(sorted({0.0, *geometric, radius}))
     inner, outer = edges[:-1], edges[1:]
     mid = np.sqrt(inner * outer)
     mid[0] = outer[0]
     square_lo = (inner / mid) ** 2
     return _Proposal(
-        radii=radii,
-        ends=tuple(int(i) for i in np.searchsorted(edges, radii)),
         density=density,
         r_m2=r_m2,
         rate=b + kappa,
@@ -513,10 +506,10 @@ def _chunk_near_field(
     near_field: np.random.Generator,
     scratch: _Scratch,
 ):
-    """One chunk: (d, near, log_weight), where near and log_weight hold one
-    row per radius: the near-field -log P_s and the log likelihood ratio of
-    the trial's draws inside that radius. The relay uniforms come from
-    relays, the interferers from near_field.
+    """One chunk: (d, near, log_weight), where near is each trial's
+    near-field -log P_s and log_weight the log likelihood ratio of its
+    draws. The relay uniforms come from relays, the interferers from
+    near_field.
 
     Trial j of the chunk draws its relay uniform u in stratum j mod STRATA.
     E = -log(1 - u)/rate takes 1 - u = (STRATA - j mod STRATA - U)/STRATA,
@@ -539,13 +532,13 @@ def _near_field(
     scratch: _Scratch,
 ):
     """(near, log_weight) of interferers drawn from the proposal around relays
-    at distances d, one row per radius. The points' uniforms are drawn into
-    scratch.
+    at distances d, one entry per trial. The points' uniforms are drawn
+    into scratch.
 
-    Counts and sums live on a (ring, trial) grid in ring-major order, so a
-    radius's rows sum its first rings, and each ring's points lie next to
-    each other. A point of the inner disk drawn at radius exactly 0 lies on
-    the relay: its trial's -log P_s is inf.
+    Counts and sums live on a (ring, trial) grid in ring-major order, so
+    each ring's points lie next to each other. A point of the inner disk
+    drawn at radius exactly 0 lies on the relay: its trial's -log P_s is
+    inf.
     """
     # ring k draws at density rho*h*(r/r_k)^gamma, with h = 1/(1 + tilt)
     # the link's survival past an interferer at r_k, tilt = s*r_k^-alpha,
@@ -597,9 +590,7 @@ def _near_field(
     x += np.repeat(np.log(tilt).ravel(), cells)
     log_loss = np.log1p(np.exp(x, out=x), out=x)
     loss = _segment_sums(log_loss, cells).reshape(counts.shape)
-    near = np.array([np.add.reduce(loss[:end]) for end in table.ends])
-    log_weight = np.array([np.add.reduce(log_w[:end]) for end in table.ends])
-    return near, log_weight
+    return np.add.reduce(loss), np.add.reduce(log_w)
 
 
 def _link_scale(params: NetworkParams, d: np.ndarray) -> np.ndarray:
@@ -614,72 +605,41 @@ def sector_mean_cosine(phi: float) -> float:
     return math.sin(half) / half
 
 
-def _with_far_field(
-    params: NetworkParams,
-    table: _Proposal,
-    d: np.ndarray,
-    near: np.ndarray,
-    log_weight: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(progress, weight), one row per radius: progress d*c*P_s, with c the
-    sector's mean cosine, from each row of near-field -log P_s plus the
-    exact far field beyond its radius, and the weight exp(log_weight)."""
-    s = _link_scale(params, d)
-    forward = d * sector_mean_cosine(params.phi)
-    progress = np.empty_like(near)
-    for row, near_loss, radius in zip(progress, near, table.radii):
-        loss = near_loss + table.density * far_field_integral(s, params.alpha, radius)
-        row[:] = forward * np.exp(-loss)
-    return progress, np.exp(log_weight)
-
-
-def _run_trials(
-    params: NetworkParams,
-    sim: SimConfig,
-    variant: ProtocolVariant,
-    radii: tuple[float, ...],
-):
-    """(d, progress, weight) of trials 0 .. n-1, with one row of progress
-    and of weight per radius; n is sim.trials rounded up to whole blocks of
-    STRATA, at least two.
-
-    The proposal table is built once; the chunks draw in order from the
-    run's relay and near-field streams and sum the near field; the far
-    field is evaluated once over all trials after they are joined.
-    Overflow inside the kernel is left to the table's checks and the
-    final one, so numpy's floating-point warnings are silenced; an
-    interferer on a relay gives that trial progress 0 without a warning.
-    """
-    trials = STRATA * max(2, math.ceil(sim.trials / STRATA))
-    relays, near_field = _stream(sim.seed, _TAG_RELAY), _stream(sim.seed, _TAG_NEAR)
-    scratch = _Scratch()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = _proposal(params, variant, radii)
-        results = [
-            _chunk_near_field(params, table, relays, near_field, scratch)
-            for _ in range(math.ceil(trials / CHUNK))
-        ]
-        d, near, log_weight = (
-            np.concatenate(column, axis=-1)[..., :trials] for column in zip(*results)
-        )
-        progress, weight = _with_far_field(params, table, d, near, log_weight)
-        if not np.isfinite(weight * progress).all():
-            raise DomainError(
-                "the trial kernel produced non-finite values: the parameters are out of "
-                "the simulator's range"
-            )
-    return d, progress, weight
-
-
 def collect_trials(
     params: NetworkParams,
     sim: SimConfig,
     variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
 ) -> Trials:
     """All trials in trial order: sim.trials rounded up to whole blocks of
-    STRATA, at least two."""
-    d, progress, weight = _run_trials(params, sim, variant, (sim.guard_radius,))
-    return Trials(d, progress[0], weight[0])
+    STRATA, at least two.
+
+    The proposal table is built once; the chunks draw in order from the
+    run's relay and near-field streams and sum the near field; the exact
+    far field beyond sim.guard_radius is evaluated once over all trials
+    after they are joined. Overflow inside the kernel is left to the
+    table's checks and the final one, so numpy's floating-point warnings
+    are silenced; an interferer on a relay gives that trial progress 0
+    without a warning.
+    """
+    trials = STRATA * max(2, math.ceil(sim.trials / STRATA))
+    relays, near_field = _stream(sim.seed, _TAG_RELAY), _stream(sim.seed, _TAG_NEAR)
+    scratch = _Scratch()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = _proposal(params, variant, sim.guard_radius)
+        chunks = [
+            _chunk_near_field(params, table, relays, near_field, scratch)
+            for _ in range(math.ceil(trials / CHUNK))
+        ]
+        d, near, log_weight = (np.concatenate(column)[:trials] for column in zip(*chunks))
+        far = far_field_integral(_link_scale(params, d), params.alpha, sim.guard_radius)
+        progress = d * sector_mean_cosine(params.phi) * np.exp(-(near + table.density * far))
+        weight = np.exp(log_weight)
+        if not np.isfinite(weight * progress).all():
+            raise DomainError(
+                "the trial kernel produced non-finite values: the parameters are out of "
+                "the simulator's range"
+            )
+    return Trials(d, progress, weight)
 
 
 def summarize_trials(progress: np.ndarray, params: NetworkParams) -> ProgressEstimate:
@@ -759,27 +719,6 @@ def estimate_density_of_progress(
     validate_for_estimation(params, sim)
     trials = collect_trials(params, sim, variant)
     return summarize_trials(trials.weight * trials.progress, params)
-
-
-def guard_sensitivity(
-    params: NetworkParams,
-    sim: SimConfig,
-    guards: list[float],
-    variant: ProtocolVariant = ProtocolVariant.DIRECTIONAL,
-) -> list[ProgressEstimate]:
-    """Progress estimates under several near-field radii with common draws.
-
-    The kernel draws each chunk's interferers once in the widest disk, and
-    every radius is a ring edge: a radius sums the draws and weights of
-    the rings inside it and integrates the rest exactly, so every radius
-    sees exactly its Poisson process. The estimator is unbiased at any
-    radius, so the estimates may differ only by the small noise the radii
-    do not share.
-    """
-    if not guards:
-        raise DomainError("need at least one guard radius")
-    _, progress, weight = _run_trials(params, sim, variant, tuple(float(g) for g in guards))
-    return [summarize_trials(w * y, params) for y, w in zip(progress, weight)]
 
 
 # =====================================================================

@@ -131,8 +131,9 @@ def test_relay_cdf_boundary_and_limits():
     assert analytic.relay_distance_cdf(params, 50.0) == pytest.approx(1.0, abs=1e-12)
     vals = [analytic.relay_distance_cdf(params, r) for r in [0.4, 0.6, 1.0, 2.0]]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        analytic.relay_distance_cdf(params, 0.39)
+    for below_r_m in (analytic.relay_distance_cdf, analytic.relay_distance_pdf):
+        with pytest.raises(DomainError):
+            below_r_m(params, 0.39)
 
 
 def test_relay_pdf_is_cdf_derivative():

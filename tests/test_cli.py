@@ -585,6 +585,46 @@ def test_empty_grid_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1:0", "1:2", "a:b:3", ",,"])
+def test_malformed_grid_is_a_usage_error(tmp_path, capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--param", "p", "--values", grid, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --values:" in err and "grid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "a subcommand or --from-manifest is required"),
+        (["--from-manifest", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "unknown-option"],
+)
+def test_top_level_usage_errors(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_manifest_without_outdir_needs_the_flag(tmp_path, capsys):
+    assert cli.main(["optimize", "--outdir", str(tmp_path)]) == 0
+    doc = manifest_of(tmp_path, "optimize")
+    del doc["outdir"]
+    path = tmp_path / "no_outdir.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["--from-manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "lacks key: outdir" in err
+    assert "Traceback" not in err
+
+
 def test_manifest_and_subcommand_are_exclusive(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--from-manifest", "whatever.json", "fig2"])

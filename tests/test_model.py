@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from sectorrelay import model
+from sectorrelay import analytic, model, optimize
 from sectorrelay.errors import DomainError, ParameterError
 from sectorrelay.model import NetworkParams, ProtocolVariant
 
@@ -59,6 +59,15 @@ def test_t_domain_errors():
         model.spatial_interference_constant(1.5, 10.0)
     with pytest.raises(DomainError):
         model.spatial_interference_constant(3.0, 0.0)
+    # lambda*phi underflows the decay rate k to 0: a typed error naming both,
+    # not a bare math domain error or a division by zero downstream
+    for lam, phi in [(1e-300, 1e-30), (1e-200, 1e-200), (1.0, 5e-324)]:
+        params = dataclasses.replace(BASE, lam=lam, phi=phi)
+        for call in (
+            model.radial_decay_rate, analytic.expected_density_closed, optimize.optimize_joint
+        ):
+            with pytest.raises(DomainError, match="lambda = .* and phi = .* underflow"):
+                call(params)
 
 
 # ---------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_runs_draw_whole_strata_blocks():
     assert simulate.CHUNK % simulate.STRATA == 0
     trials = simulate.collect_trials(BASE, sim)
     assert len(trials.d) == 2 * simulate.CHUNK
-    table = simulate._proposal(BASE, ProtocolVariant.DIRECTIONAL, (sim.guard_radius,))
+    table = simulate._proposal(BASE, ProtocolVariant.DIRECTIONAL, sim.guard_radius)
     u = -np.expm1(-table.rate * (trials.d**2 - BASE.r_m**2))
     band = np.floor(u * simulate.STRATA)
     assert np.array_equal(band, np.arange(len(u)) % simulate.STRATA)
@@ -638,8 +638,14 @@ def test_empty_near_field_gives_the_closed_success_probability(variant):
 
 
 def test_near_field_radius_leaves_the_estimate_unbiased():
-    sim = simulate.SimConfig(trials=500, seed=3, guard_radius=10.0)
-    small, large = simulate.guard_sensitivity(OPT, sim, guards=[5.0, 20.0])
+    # one run per radius, on the same seed: beyond each radius the
+    # interference is integrated exactly, so the estimates differ by noise
+    estimates = []
+    for radius in (5.0, 20.0):
+        sim = simulate.SimConfig(trials=500, seed=3, guard_radius=radius)
+        trials = simulate.collect_trials(OPT, sim)
+        estimates.append(simulate.summarize_trials(trials.weight * trials.progress, OPT))
+    small, large = estimates
     assert abs(small.mean - large.mean) < 3.0 * math.hypot(small.std_error, large.std_error)
 
 
@@ -658,12 +664,6 @@ def test_default_near_field_dominates_the_interference():
         far += density * simulate.far_field_integral(s, OPT.alpha, sim.guard_radius)
         total -= math.log(progress / (d * mean_cosine))
     assert far < 0.1 * total
-
-
-def test_guard_doubling_shifts_less_than_one_sigma():
-    sim = simulate.SimConfig(trials=400, seed=17, guard_radius=40.0)
-    far, near = simulate.guard_sensitivity(OPT, sim, guards=[80.0, 40.0])
-    assert abs(far.mean - near.mean) < max(far.std_error, near.std_error)
 
 
 @pytest.mark.parametrize("variant", list(ProtocolVariant))
@@ -734,28 +734,22 @@ def test_ring_count_stays_bounded():
     # binds and the bend lies far inside it (8 coarse rings from L/1000 to
     # L/4; an eighth of the bend alone would give about 50 at beta = 1e-30)
     counts = {
-        len(simulate._proposal(params, variant, (40.0,)).mid_power)
+        len(simulate._proposal(params, variant, 40.0).mid_power)
         for params, variant in _item8_grid()
     }
     assert max(counts) <= 15 and min(counts) < max(counts)
     for beta in (1e-30, 1e-300):
-        table = simulate._proposal(_with(OPT, beta=beta), ProtocolVariant.DIRECTIONAL, (40.0,))
+        table = simulate._proposal(_with(OPT, beta=beta), ProtocolVariant.DIRECTIONAL, 40.0)
         assert len(table.mid_power) == 10
 
 
 def test_shaped_rings_end_exactly_at_their_end():
     # the last geometric edge is the rings' end itself: the geometric
-    # series' own last edge can miss it by rounding, which left a sliver
-    # ring beside a radius at that end (3 of these 61 near-field radii at
-    # beta = 0.1, where the rings end at L/4). Where 8*r_b passes L (30 dB,
-    # r_m = 3), the shaped rings reach L and no flat ring follows
-    near_bend = _with(OPT, beta=0.1)
+    # series' own last edge can miss it by rounding. Where 8*r_b passes L
+    # (30 dB, r_m = 3), the shaped rings reach L and no flat ring follows
     far_bend = NetworkParams(lam=1.0, alpha=3.0, beta=1000.0, p=0.1, phi=0.3, r_m=3.0)
     for radius in np.linspace(40.0, 100.0, 61).tolist():
-        alone = simulate._proposal(near_bend, ProtocolVariant.DIRECTIONAL, (radius,))
-        quarter = simulate._proposal(near_bend, ProtocolVariant.DIRECTIONAL, (radius / 4, radius))
-        assert len(quarter.mid_power) == len(alone.mid_power), radius
-        table = simulate._proposal(far_bend, ProtocolVariant.OMNIDIRECTIONAL, (radius,))
+        table = simulate._proposal(far_bend, ProtocolVariant.OMNIDIRECTIONAL, radius)
         assert table.shaped.stop == len(table.mid_power), radius
 
 
@@ -932,12 +926,12 @@ def test_near_field_weights_average_to_one(variant):
     # matters: flipped, the mean is 1.08 (directional) or 1.36
     # (omnidirectional), 19 or 28 sigma away
     d = 0.2
-    table = simulate._proposal(OPT, variant, (40.0,))
+    table = simulate._proposal(OPT, variant, 40.0)
     rng = np.random.default_rng(4)
     weights = np.concatenate([
         np.exp(simulate._near_field(
             OPT, table, np.full(simulate.CHUNK, d), rng, simulate._Scratch(),
-        )[1][0])
+        )[1])
         for _ in range(160)
     ])
     sigma = math.sqrt(math.expm1(_log_weight_second_moment(OPT, table, d)))
@@ -952,13 +946,13 @@ def test_shaped_rings_reproduce_the_link_law(variant):
     # survival is bounded on every ring, so a sample sigma serves. A wrong
     # sign of the shape's slope or a wrong normalizer moves the mean
     radius = 40.0
-    table = simulate._proposal(OPT, variant, (radius,))
+    table = simulate._proposal(OPT, variant, radius)
     density = analytic.interferer_density(OPT, variant)
     rng = np.random.default_rng(12)
     for d in (0.2, 1.0, 3.0):
         far = density * simulate.far_field_integral(OPT.beta * d**OPT.alpha, OPT.alpha, radius)
         survival = np.concatenate([
-            np.exp(log_weight[0] - near[0] - far)
+            np.exp(log_weight - near - far)
             for near, log_weight in (
                 simulate._near_field(
                     OPT, table, np.full(simulate.CHUNK, d), rng, simulate._Scratch(),
