@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -193,29 +194,38 @@ def spatial_interference_constant(alpha: float, beta: float) -> float:
 
     Equals pi * beta^(2/alpha) * Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha),
     the interference functional of a unit-density Poisson field under
-    Rayleigh fading. Diverges as alpha -> 2+, hence the domain alpha > 2.
+    Rayleigh fading. Diverges as alpha -> 2+, hence the domain alpha > 2;
+    raises DomainError where it overflows a double, as alpha near 2 with a
+    huge beta makes it do.
     """
     if alpha <= 2:
         raise DomainError(f"t undefined for alpha <= 2 (got alpha={alpha})")
     if beta <= 0:
         raise DomainError(f"t requires beta > 0 (got beta={beta})")
-    return (2.0 * math.pi**2 / alpha) / math.sin(TWO_PI / alpha) * beta ** (2.0 / alpha)
+    t = (2.0 * math.pi**2 / alpha) / math.sin(TWO_PI / alpha) * beta ** (2.0 / alpha)
+    if t == math.inf:
+        raise DomainError(
+            f"alpha = {alpha} and beta = {beta:.6g} overflow the interference constant "
+            "t = (2*pi^2/alpha)/sin(2*pi/alpha) * beta^(2/alpha)"
+        )
+    return t
 
 
 def radial_decay_rate(params: NetworkParams, t: float | None = None) -> float:
     """k = (lambda*phi/2) * (p*t/pi + (1 - p)); linear in p, lambda and phi.
 
-    Raises DomainError where k underflows to 0, as lambda*phi does near
-    the smallest doubles: every formula that takes log(k) or divides by k
-    fails there.
+    Raises DomainError where k underflows below the smallest normal
+    double, as lambda*phi does near the smallest doubles: k keeps few of
+    its bits there, or none, and every formula that takes log(k) or
+    divides by k fails, r_m* = sqrt(u/k) among them.
     """
     if t is None:
         t = spatial_interference_constant(params.alpha, params.beta)
     k = params.lam * params.phi / 2.0 * (params.p * t / math.pi + (1.0 - params.p))
-    if k == 0.0:
+    if k < sys.float_info.min:
         raise DomainError(
             f"lambda = {params.lam:.6g} and phi = {params.phi:.6g} underflow the decay rate "
-            "k = (lambda*phi/2)*(p*t/pi + 1 - p) to 0"
+            f"k = (lambda*phi/2)*(p*t/pi + 1 - p) to {k:.6g}, below the smallest normal double"
         )
     return k
 
@@ -251,10 +261,17 @@ def effective_interference_constant(params: NetworkParams, variant: ProtocolVari
     outage exponent by 2*pi/phi: t_eff = t for the directional variant and
     2*pi*t/phi for the omnidirectional one. t_eff carries the variant
     into the decay rates and the optimizer; interferer_density carries it
-    into the link success probability and the simulator.
+    into the link success probability and the simulator. Raises
+    DomainError where t_eff overflows a double, as a tiny phi makes it do.
     """
     t = spatial_interference_constant(params.alpha, params.beta)
     if variant is ProtocolVariant.DIRECTIONAL:
         return t
-    return t * (TWO_PI / params.phi)  # exactly t at phi = 2*pi
+    t_eff = t * (TWO_PI / params.phi)  # exactly t at phi = 2*pi
+    if t_eff == math.inf:
+        raise DomainError(
+            f"alpha = {params.alpha}, beta = {params.beta:.6g} and phi = {params.phi:.6g} "
+            "overflow the omnidirectional interference constant t_eff = 2*pi*t/phi"
+        )
+    return t_eff
 

@@ -444,10 +444,12 @@ def _proposal(
         )
     link = params.beta * np.power(r_m2 + 1.0 / (b + kappa), 0.5 * params.alpha)
     if not 0.0 < link < math.inf:
+        scale = 1.0 / math.sqrt(b + kappa)
         raise DomainError(
-            f"phi = {params.phi:.6g}, p = {params.p:.6g} and lambda = {params.lam:.6g} put the "
-            f"relay distance scale {1.0 / math.sqrt(b + kappa):.6g} out of the simulator's "
-            "range: beta*d^alpha leaves a double"
+            f"r_m = {params.r_m:.6g} and alpha = {params.alpha:.6g} put beta*D^alpha out of the "
+            "simulator's range, a double: D = sqrt(r_m^2 + 1/(b + kappa)) = "
+            f"{math.hypot(params.r_m, scale):.6g}, with the relay distance scale "
+            f"1/sqrt(b + kappa) = {scale:.6g} set by lambda, p and phi"
         )
     # the survival curve h(r) = 1/(1 + s*r^-alpha) of a link with s = link
     # bends at r_b = link^(1/alpha), where h = 1/2

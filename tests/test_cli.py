@@ -5,6 +5,7 @@ line, then a header, then %.17g cells, so parsed floats round-trip exactly
 and byte comparison is meaningful for determinism checks.
 """
 
+import ast
 import csv
 import dataclasses
 import json
@@ -298,6 +299,16 @@ def test_sweep_twin_resolves_a_thin_relay_law(tmp_path):
     assert closed == pytest.approx(2.00917583687e-4, rel=1e-10)
     assert numeric == pytest.approx(closed, rel=1e-7, abs=0.0)
     assert rows[0]["status"] == "ok"
+    # b*r_m^2 near 1e8 at r_m = 300: the twin's nodes must not recompute
+    # x^2 - r_m^2, whose rounding would cost about b*r_m^2*eps relative
+    wide = [
+        "sweep", "--param", "r_m", "--values", "300", "--lambda", "1000",
+        "--p", "1e-6", "--beta-db", "-30", "--alpha", "2.2", "--phi", "6.2",
+    ]
+    assert cli.main(wide + ["--outdir", str(tmp_path / "wide")]) == 0
+    _, rows = read_table(tmp_path / "wide" / "sweep.csv")
+    assert float(rows[0]["edp_numeric"]) == pytest.approx(float(rows[0]["edp_closed"]), rel=1e-7)
+    assert rows[0]["status"] == "ok"
 
 
 def test_sweep_twin_disagreement_is_an_error_row(tmp_path, monkeypatch):
@@ -461,8 +472,14 @@ def test_simulate_rejects_insufficient_trials(tmp_path, capsys):
         (["--lambda", "1e-300"], "error: DomainError: lambda = "),
         (["--alpha", "1e3"], "error: DomainError: alpha = "),
         (["--guard-radius", "1e12"], "error: "),
+        (["--lambda", "1e-300", "--phi", "1e-30"], "error: DomainError: lambda = "),
+        (["--phi", "1e-320"], "error: DomainError: r_m = 0 and alpha = 3 put beta*D^alpha"),
+        (["--alpha", "50", "--r-m", "1e10"], "error: DomainError: r_m = 1e+10 and alpha = 50 "),
     ],
-    ids=["huge-r_m", "huge-lambda", "tiny-lambda", "huge-alpha", "huge-guard"],
+    ids=[
+        "huge-r_m", "huge-lambda", "tiny-lambda", "huge-alpha", "huge-guard",
+        "tiny-lambda-and-phi", "tiny-phi", "huge-alpha-and-r_m",
+    ],
 )
 def test_simulate_failure_is_an_error_row(tmp_path, capsys, flags, status):
     # admissible parameters the kernel cannot carry out: an error row that
@@ -600,8 +617,9 @@ def test_malformed_grid_is_a_usage_error(tmp_path, capsys, grid):
     [
         ([], "a subcommand or --from-manifest is required"),
         (["--from-manifest", "m.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["fig9"], "invalid choice: 'fig9'"),
     ],
-    ids=["no-command", "unknown-option"],
+    ids=["no-command", "unknown-option", "unknown-command"],
 )
 def test_top_level_usage_errors(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
@@ -766,14 +784,23 @@ def test_each_command_parses_alone(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_parser", refuse)
     assert cli.main(["fig34", "--phi-grid", "1.0", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: sectorrelay {name} ")
 
 
 # ---------------------------------------------------------------------
 # runtime dependencies
 # ---------------------------------------------------------------------
 
+#: The demos that need no scipy; demos/monte_carlo_check.py uses its KS tests.
+SCIPY_FREE_DEMOS = ("closed_form_tour", "directional_vs_omni", "optimal_operating_point")
+
 NO_SCIPY_SCRIPT = """
-import json, sys
+import json, runpy, sys
 
 class BlockScipy:
     def find_spec(self, name, path=None, target=None):
@@ -789,27 +816,55 @@ out = sys.argv[1]
 codes = [
     sectorrelay.cli.main(argv + ["--outdir", out])
     for argv in (
+        ["fig2"],
         ["fig34"],
         ["fig5", "--simulate", "--trials", "200"],
         ["sweep", "--param", "r_m", "--values", "0:1.2:7", "--alpha", "2.5", "--beta-db", "-10"],
+        ["optimize"],
+        ["simulate", "--trials", "100"],
     )
 ]
+for demo in sys.argv[2:]:
+    runpy.run_path(demo, run_name="__main__")
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
 def test_package_runs_without_scipy(tmp_path):
-    # scipy is a test oracle only: blocking its import must not matter
-    src = Path(sectorrelay.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # scipy is a test oracle only: no module imports it, even inside a
+    # function, and every command and the scipy-free demos run with its
+    # import blocked and every warning an error
+    package = Path(sectorrelay.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (path, node.lineno)
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        [
+            sys.executable, "-W", "error", "-c", NO_SCIPY_SCRIPT, str(tmp_path),
+            *(str(demos / f"{name}.py") for name in SCIPY_FREE_DEMOS),
+        ],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0], "scipy": []}
+    assert report == {"codes": [0] * 6, "scipy": []}
+    # with the relay angle integrated out, the full-circle row is as precise
+    # as the rest: a drawn angle's cosine, whose sector mean is 0 there, gave
+    # it an RSE of about 11
+    _, rows = read_table(tmp_path / "fig5.csv")
+    assert [row["status"] for row in rows] == ["ok"] * 12
+    (full,) = [row for row in rows if float(row["phi"]) == pytest.approx(2 * math.pi)]
+    for variant in ("directional", "omni"):
+        assert float(full[f"sim_{variant}_std_error"]) <= 0.05 * float(full[f"sim_{variant}_mean"])
 
 
 STARTUP_SCRIPT = """

@@ -37,7 +37,9 @@ def test_all_four_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo):
-    proc = _run_python([str(demo)])
+    # every warning is an error: the kernel silences numpy's floating-point
+    # warnings only where it checks the results itself
+    proc = _run_python(["-W", "error", str(demo)])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -59,15 +59,32 @@ def test_t_domain_errors():
         model.spatial_interference_constant(1.5, 10.0)
     with pytest.raises(DomainError):
         model.spatial_interference_constant(3.0, 0.0)
-    # lambda*phi underflows the decay rate k to 0: a typed error naming both,
-    # not a bare math domain error or a division by zero downstream
-    for lam, phi in [(1e-300, 1e-30), (1e-200, 1e-200), (1.0, 5e-324)]:
+    # lambda*phi underflows the decay rate k to 0, or below the smallest
+    # normal double (at lambda = 4, phi = 5e-324 phi/2 is 0 and r_m* =
+    # sqrt(u/k) overflows): a typed error naming both, not a bare math
+    # domain error, a division by zero or an r_m* of inf downstream
+    for lam, phi in [(1e-300, 1e-30), (1e-200, 1e-200), (1.0, 5e-324), (4.0, 5e-324)]:
         params = dataclasses.replace(BASE, lam=lam, phi=phi)
         for call in (
-            model.radial_decay_rate, analytic.expected_density_closed, optimize.optimize_joint
+            model.radial_decay_rate, analytic.log_expected_density,
+            analytic.expected_density_closed, optimize.optimize_joint,
         ):
             with pytest.raises(DomainError, match="lambda = .* and phi = .* underflow"):
                 call(params)
+    # t overflows at alpha near 2 with a huge beta, and t_eff = 2*pi*t/phi
+    # at a tiny phi: a typed error naming the cause, not a nan downstream
+    near_two = dataclasses.replace(BASE, alpha=2.000000000001, beta=1e300, r_m=0.3)
+    for call in (
+        analytic.expected_density_closed, analytic.rm_upper_bound,
+        optimize.optimize_rm, optimize.optimize_joint,
+    ):
+        with pytest.raises(DomainError, match=r"alpha = 2\.000000000001 and beta = 1e\+300 "):
+            call(near_two)
+    assert math.isfinite(model.spatial_interference_constant(2.1, 1e300))
+    tiny_phi = dataclasses.replace(BASE, alpha=2.1, beta=1e300, phi=1e-310)
+    for call in (analytic.expected_density_closed, optimize.optimize_joint):
+        with pytest.raises(DomainError, match=r"alpha = 2\.1, beta = 1e\+300 and phi = 1e-310"):
+            call(tiny_phi, ProtocolVariant.OMNIDIRECTIONAL)
 
 
 # ---------------------------------------------------------------------
@@ -130,8 +147,12 @@ def test_validate_p_boundaries():
 
 @pytest.mark.parametrize(
     "change, named",
-    [({"p": 0.0}, "p out of range"), ({"phi": 7.0}, "phi out of range")],
-    ids=["p", "phi"],
+    [
+        ({"p": 0.0}, "p out of range"),
+        ({"phi": 7.0}, "phi out of range"),
+        ({"beta": 0.0}, "beta out of range"),
+    ],
+    ids=["p", "phi", "beta"],
 )
 def test_replace_checks_the_new_bundle(change, named):
     with pytest.raises(ParameterError, match=named):
@@ -230,6 +251,8 @@ def test_config_text_rejects_duplicate_keys():
 def test_config_text_rejects_malformed_lines():
     with pytest.raises(ParameterError, match="line 1"):
         _from_config_text("what is this\n")
+    with pytest.raises(ParameterError, match="non-numeric config value"):
+        _from_config_text("lambda=1\nalpha=3\nbeta_db=10\np=abc\nphi=1\n")
 
 
 def test_parse_config_mapping_partial():
